@@ -17,6 +17,12 @@
 //! +----------------+---------------------------+
 //! ```
 //!
+//! [`write_frame`] hands the header and the payload to the socket as
+//! one buffer, and `c11netd` sets `TCP_NODELAY` on every accepted
+//! socket, so a response never waits on the peer's delayed ACK. Clients
+//! should do the same — send each frame as one buffer, or set
+//! `TCP_NODELAY` — or their requests stall the same way on their side.
+//!
 //! [`read_frame`] distinguishes an *idle* timeout (no bytes of the next
 //! frame arrived before the socket's read timeout — the server polls its
 //! shutdown flag and keeps waiting) from a *mid-frame* timeout (the peer
@@ -122,8 +128,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<FrameIn, String> {
     Ok(FrameIn::Frame(payload))
 }
 
-/// Writes one length-prefixed frame and flushes. Payloads past
-/// [`MAX_FRAME_BYTES`] are refused — the peer would reject them anyway.
+/// Writes one length-prefixed frame as a single `write_all` and
+/// flushes. Payloads past [`MAX_FRAME_BYTES`] are refused before
+/// anything is written — the peer would reject them anyway.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
@@ -134,8 +141,13 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    // Header and payload leave in one write: written separately, Nagle
+    // holds the payload back until the peer ACKs the header, and the
+    // peer's delayed ACK stalls every response by tens of milliseconds.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -553,6 +565,40 @@ mod tests {
         let mut r = Cursor::new(((MAX_FRAME_BYTES + 1) as u32).to_be_bytes().to_vec());
         let err = read_frame(&mut r).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
+    }
+
+    /// A writer that records the size of every `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_exactly_one_write() {
+        for payload in [&b"{\"stats\":true}"[..], b"", &[7u8; 70_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, vec![4 + payload.len()]);
+            assert_eq!(w.bytes[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&w.bytes[4..], payload);
+        }
+        // An oversized payload is refused before anything is written.
+        let mut w = CountingWriter::default();
+        assert!(write_frame(&mut w, &vec![0u8; MAX_FRAME_BYTES + 1]).is_err());
+        assert!(w.writes.is_empty());
     }
 
     #[test]

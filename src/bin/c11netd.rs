@@ -25,7 +25,9 @@
 //! (`"flat"`/`"sym"`/`"shared"`) and `symmetry` storage knobs. A frame
 //! that violates the protocol (oversized length, mid-frame truncation
 //! or stall) is answered once (best effort) and the connection closed —
-//! the stream cannot be resynchronised.
+//! the stream cannot be resynchronised. Every accepted socket gets
+//! `TCP_NODELAY` before its first write, and every frame leaves as one
+//! write, so no response waits on the client's delayed ACK.
 //!
 //! On SIGTERM or SIGINT the server stops accepting, finishes every
 //! frame already in flight, snapshots the cache to `--cache-path` (if
@@ -157,8 +159,11 @@ fn serve_conn(
             Err(e) => {
                 // Protocol violation or I/O failure: one best-effort
                 // error frame, then close (the stream can't resync).
-                tally.lock().unwrap().stats.jobs += 1;
-                tally.lock().unwrap().stats.errors += 1;
+                {
+                    let mut t = tally.lock().unwrap();
+                    t.stats.jobs += 1;
+                    t.stats.errors += 1;
+                }
                 let line = error_line(&format!("conn-{conn_no}-{}", frame_no + 1), &e);
                 let _ = net::write_frame(&mut conn, line.as_bytes());
                 return;
@@ -261,6 +266,38 @@ fn respond(
     }
 }
 
+/// Blocks until a connection is pending on `listener` or `timeout`
+/// passes, whichever is first, so the accept loop can poll the drain
+/// flag without adding the poll interval to every new connection's
+/// first frame. Linux waits in `poll(2)` (which a drain signal also
+/// interrupts); elsewhere it sleeps the interval out.
+#[cfg(target_os = "linux")]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // The result does not matter: the caller retries accept either way.
+    unsafe { poll(&mut fd, 1, timeout.as_millis() as i32) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -337,7 +374,7 @@ fn main() -> ExitCode {
         handles.retain(|h| !h.is_finished());
         match listener.accept() {
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
+                wait_for_connection(&listener, Duration::from_millis(25));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -346,6 +383,9 @@ fn main() -> ExitCode {
             }
             Ok((mut conn, _peer)) => {
                 conn_no += 1;
+                // Every response leaves as soon as it is written, never
+                // held back waiting on the client's delayed ACK.
+                let _ = conn.set_nodelay(true);
                 if active.load(Ordering::Acquire) >= opts.max_conns {
                     // Answer with backpressure instead of silently
                     // dropping: the client learns to retry later.

@@ -6,11 +6,14 @@
 //! the same request answers `"cache_hit": true` byte-identically
 //! (modulo the id echo and the cache flag itself).
 //!
-//! The tests speak the wire format by hand (4-byte big-endian length +
-//! one JSON document) rather than through `c11_api::net`, so they stay
-//! an independent check of the protocol the README documents.
+//! Requests go out through `c11_api::net::write_frame`, the one frame
+//! writer every in-repo client shares (a hand-rolled two-write sender
+//! would stall on the client's own Nagle). Responses are decoded by hand
+//! (4-byte big-endian length + one JSON document), so the reading side
+//! stays an independent check of the protocol the README documents.
 
 use c11_operational::api::json::Json;
+use c11_operational::api::net::write_frame;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -89,11 +92,7 @@ impl Drop for Server {
 }
 
 fn send_frame(stream: &mut TcpStream, payload: &str) {
-    stream
-        .write_all(&(payload.len() as u32).to_be_bytes())
-        .unwrap();
-    stream.write_all(payload.as_bytes()).unwrap();
-    stream.flush().unwrap();
+    write_frame(stream, payload.as_bytes()).expect("send frame");
 }
 
 fn recv_frame(stream: &mut TcpStream) -> Json {
@@ -262,4 +261,49 @@ fn malformed_payloads_get_error_frames_and_framing_errors_close_the_connection()
     let mut rest = Vec::new();
     oversized.read_to_end(&mut rest).expect("connection closed");
     assert!(rest.is_empty());
+}
+
+#[test]
+fn warm_round_trips_never_wait_on_delayed_acks() {
+    // A frame written as header + payload in two writes waits out Nagle
+    // plus the peer's delayed ACK (~40 ms per round trip once delayed
+    // ACKs kick in, so >= 2 s for this loop). One-write frames on a
+    // TCP_NODELAY server socket answer warm hits in well under 10 ms.
+    let server = Server::start("nodelay", &["--workers", "2"]);
+    let mut conn = server.connect();
+    assert!(!conn.nodelay().unwrap(), "the client keeps Nagle on");
+    let request = format!("{{\"id\":\"w\",\"program\":\"{SB}\"}}");
+    send_frame(&mut conn, &request);
+    assert_eq!(s(&recv_frame(&mut conn), "status"), Some("ok"));
+    let t0 = Instant::now();
+    for _ in 0..100 {
+        send_frame(&mut conn, &request);
+        let warm = recv_frame(&mut conn);
+        assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 warm round trips took {elapsed:?}"
+    );
+}
+
+#[test]
+fn fresh_connections_are_accepted_without_waiting_out_the_drain_poll() {
+    // The accept loop polls the drain flag every 25 ms. Sleeping that
+    // interval out instead of waiting on the listener would delay each
+    // new connection's first answer by ~12 ms on average (~500 ms over
+    // this loop); waiting on the listener answers at once.
+    let server = Server::start("accept", &["--workers", "1"]);
+    let t0 = Instant::now();
+    for i in 0..40 {
+        let mut conn = server.connect();
+        send_frame(&mut conn, &format!("{{\"id\":\"c{i}\",\"stats\":true}}"));
+        assert_eq!(s(&recv_frame(&mut conn), "mode"), Some("session-stats"));
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "40 fresh connections took {elapsed:?} to answer"
+    );
 }
