@@ -67,7 +67,7 @@ impl IntoIterator for BatchRequest {
     type IntoIter = std::vec::IntoIter<CheckRequest>;
 
     /// Consumes the batch into its requests, e.g. to rewrite them
-    /// (`batch.into_iter().map(|r| r.backend(b)).collect()`).
+    /// (`batch.into_iter().map(|r| r.reduction(red)).collect()`).
     fn into_iter(self) -> Self::IntoIter {
         self.requests.into_iter()
     }
@@ -139,31 +139,11 @@ impl BatchReport {
         wall: Duration,
     ) -> BatchReport {
         let mut stats = BatchStats {
-            jobs: reports.len(),
             wall_micros: wall.as_micros(),
             ..BatchStats::default()
         };
         for report in reports.iter() {
-            match report {
-                Ok(r) => {
-                    stats.ok += 1;
-                    stats.cache_hits += usize::from(r.cache_hit());
-                    stats.interrupted += usize::from(r.interrupt().is_some());
-                    stats.explore = stats.explore.merged(&r.stats());
-                    if let CheckReport::Litmus(l) = r {
-                        // An interrupted litmus run never completed its
-                        // verdict — a deadline hit is not a failure.
-                        if !l.pass && r.interrupt().is_none() {
-                            stats.litmus_failed += 1;
-                        }
-                    }
-                }
-                Err(CheckError::Overloaded) => stats.overloaded += 1,
-                // A cancelled waiter is an interruption, not a job
-                // failure — mirror the report-level statuses.
-                Err(CheckError::Cancelled) => stats.interrupted += 1,
-                Err(_) => stats.errors += 1,
-            }
+            stats.record(report);
         }
         BatchReport { reports, stats }
     }
@@ -171,36 +151,88 @@ impl BatchReport {
     /// `true` iff every request produced a report and every litmus
     /// verdict matched expectations.
     pub fn all_ok(&self) -> bool {
-        self.stats.errors == 0 && self.stats.litmus_failed == 0
+        self.stats.all_ok()
     }
 
     /// The aggregates as a `c11check/v1` `batch-summary` JSON object.
-    /// `c11serve`'s trailer line carries these same keys (plus a
-    /// session-level `explorations` counter).
     pub fn summary_json(&self) -> Json {
-        let s = &self.stats;
+        self.stats.summary_json()
+    }
+}
+
+impl BatchStats {
+    /// Folds one request's outcome into the aggregates.
+    pub fn record(&mut self, result: &Result<CheckReport, CheckError>) {
+        self.jobs += 1;
+        match result {
+            Ok(r) => {
+                self.ok += 1;
+                self.cache_hits += usize::from(r.cache_hit());
+                self.interrupted += usize::from(r.interrupt().is_some());
+                self.explore = self.explore.merged(&r.stats());
+                if let CheckReport::Litmus(l) = r {
+                    // An interrupted litmus run never completed its
+                    // verdict — a deadline hit is not a failure.
+                    if !l.pass && r.interrupt().is_none() {
+                        self.litmus_failed += 1;
+                    }
+                }
+            }
+            Err(CheckError::Overloaded) => self.overloaded += 1,
+            // A cancelled waiter is an interruption, not a job failure —
+            // mirror the report-level statuses.
+            Err(CheckError::Cancelled) => self.interrupted += 1,
+            Err(_) => self.errors += 1,
+        }
+    }
+
+    /// `true` iff every request produced a report and every litmus
+    /// verdict matched expectations.
+    pub fn all_ok(&self) -> bool {
+        self.errors == 0 && self.litmus_failed == 0
+    }
+
+    /// Records a request that failed before it became a
+    /// [`CheckRequest`] (a malformed line or frame).
+    pub fn record_error(&mut self) {
+        self.jobs += 1;
+        self.errors += 1;
+    }
+
+    /// The services' final `batch-summary` line: the
+    /// [`BatchReport::summary_json`] keys plus the session-level
+    /// `explorations` counter.
+    pub fn summary_line(&self, explorations: usize) -> String {
+        let Json::Obj(mut pairs) = self.summary_json() else {
+            unreachable!("summaries are objects");
+        };
+        pairs.push(("explorations".to_string(), Json::from(explorations)));
+        Json::Obj(pairs).render()
+    }
+
+    fn summary_json(&self) -> Json {
         Json::obj(vec![
             ("schema", Json::str("c11check/v1")),
             ("mode", Json::str("batch-summary")),
-            ("jobs", Json::from(s.jobs)),
-            ("ok", Json::from(s.ok)),
-            ("errors", Json::from(s.errors)),
-            ("overloaded", Json::from(s.overloaded)),
-            ("interrupted", Json::from(s.interrupted)),
-            ("cache_hits", Json::from(s.cache_hits)),
-            ("litmus_failed", Json::from(s.litmus_failed)),
+            ("jobs", Json::from(self.jobs)),
+            ("ok", Json::from(self.ok)),
+            ("errors", Json::from(self.errors)),
+            ("overloaded", Json::from(self.overloaded)),
+            ("interrupted", Json::from(self.interrupted)),
+            ("cache_hits", Json::from(self.cache_hits)),
+            ("litmus_failed", Json::from(self.litmus_failed)),
             (
                 "stats",
                 Json::obj(vec![
-                    ("unique", Json::from(s.explore.unique)),
-                    ("generated", Json::from(s.explore.generated)),
-                    ("finals", Json::from(s.explore.finals)),
-                    ("truncated", Json::from(s.explore.truncated)),
-                    ("stuck", Json::from(s.explore.stuck)),
-                    ("wall_micros", Json::from(s.explore.wall_micros)),
+                    ("unique", Json::from(self.explore.unique)),
+                    ("generated", Json::from(self.explore.generated)),
+                    ("finals", Json::from(self.explore.finals)),
+                    ("truncated", Json::from(self.explore.truncated)),
+                    ("stuck", Json::from(self.explore.stuck)),
+                    ("wall_micros", Json::from(self.explore.wall_micros)),
                 ]),
             ),
-            ("wall_micros", Json::from(s.wall_micros)),
+            ("wall_micros", Json::from(self.wall_micros)),
         ])
     }
 }

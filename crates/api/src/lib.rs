@@ -43,7 +43,7 @@ use c11_core::dot::to_dot;
 use c11_core::fingerprint::{combine128, fingerprint_prog, hash128_of};
 use c11_core::model::{MemoryModel, PreExecutionModel, RaModel, ScModel};
 use c11_explore::{
-    AnyBackend, Budget, ExploreBackend, ExploreConfig, ExploreResult, Interrupt, RegSnapshot, Stats,
+    AnyBackend, Budget, ExploreConfig, ExploreResult, Interrupt, RegSnapshot, Stats,
 };
 pub use c11_explore::{Engine, Reduction, StoreKind, StoreStats};
 use c11_lang::step::RegFile;
@@ -145,59 +145,6 @@ impl Bounds {
             .max_depth(self.max_depth)
             .store(self.store)
             .symmetry(self.symmetry)
-    }
-}
-
-/// The legacy single-axis backend spelling, kept one deprecation cycle
-/// as sugar over the [`Engine`] × [`Reduction`] pair that replaced it
-/// (see [`CheckRequest::engine`] / [`CheckRequest::reduction`]).
-///
-/// Exhaustive selections (everything reachable through this enum)
-/// produce identical reports for the same request (pinned corpus-wide
-/// by the test suite) — they differ only in how much work it takes.
-/// Sole exception: a search cut by the `max_states` safety cap keeps an
-/// engine-dependent prefix of the state space (exploration order
-/// differs across engines), so cap-truncated reports agree on
-/// `truncated` but not necessarily on the surviving outcomes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// The sequential BFS reference engine (deterministic).
-    #[default]
-    Sequential,
-    /// The contention-free parallel engine (worker-private queues, a
-    /// striped lock-free visited filter, per-worker arenas).
-    Parallel {
-        /// Worker threads (clamped to ≥ 1).
-        workers: usize,
-    },
-    /// The sleep-set dynamic-partial-order-reduction engine: same states
-    /// and verdicts as [`Backend::Sequential`], strictly fewer generated
-    /// transitions on programs with independent steps.
-    #[deprecated(
-        since = "0.10.0",
-        note = "spell it as Engine::Sequential + Reduction::SleepSet \
-                (CheckRequest::engine / CheckRequest::reduction)"
-    )]
-    Dpor,
-}
-
-impl Backend {
-    /// The [`Engine`] axis this legacy spelling names.
-    pub fn engine(&self) -> Engine {
-        #[allow(deprecated)]
-        match self {
-            Backend::Sequential | Backend::Dpor => Engine::Sequential,
-            Backend::Parallel { workers } => Engine::Parallel { workers: *workers },
-        }
-    }
-
-    /// The [`Reduction`] axis this legacy spelling names.
-    pub fn reduction(&self) -> Reduction {
-        #[allow(deprecated)]
-        match self {
-            Backend::Dpor => Reduction::SleepSet,
-            _ => Reduction::None,
-        }
     }
 }
 
@@ -455,15 +402,6 @@ impl CheckRequest {
         self
     }
 
-    /// Selects engine and reduction through the legacy [`Backend`]
-    /// spelling — sugar for [`CheckRequest::engine`] +
-    /// [`CheckRequest::reduction`], kept one deprecation cycle.
-    pub fn backend(mut self, b: Backend) -> Self {
-        self.engine = b.engine();
-        self.reduction = b.reduction();
-        self
-    }
-
     /// Selects the question to answer.
     pub fn mode(mut self, m: Mode) -> Self {
         self.mode = m;
@@ -640,7 +578,7 @@ impl Resolved {
                 engine: self.engine,
                 reduction: self.reduction,
             };
-            let result = run_test_configured(test, &be, &be, &cfg, &cfg);
+            let result = run_test_configured(test, be, &cfg, &cfg);
             return CheckReport::Litmus(LitmusVerdictReport {
                 meta,
                 name: result.name.clone(),
@@ -1185,7 +1123,7 @@ mod tests {
     fn outcomes_sequential_and_parallel_agree() {
         let seq = CheckRequest::program(SB).run().unwrap();
         let par = CheckRequest::program(SB)
-            .backend(Backend::Parallel { workers: 4 })
+            .engine(Engine::Parallel { workers: 4 })
             .run()
             .unwrap();
         let (CheckReport::Outcomes(a), CheckReport::Outcomes(b)) = (&seq, &par) else {
@@ -1270,7 +1208,7 @@ mod tests {
             .unwrap();
         let par = CheckRequest::program(SB_LABELED)
             .mode(Mode::Invariant(mk()))
-            .backend(Backend::Parallel { workers: 2 })
+            .engine(Engine::Parallel { workers: 2 })
             .run()
             .unwrap();
         let (CheckReport::Invariant(a), CheckReport::Invariant(b)) = (&seq, &par) else {
@@ -1391,25 +1329,6 @@ mod tests {
         assert!(dpor
             .to_json()
             .contains("\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_dpor_backend_shims_to_sequential_sleep_set() {
-        let report = CheckRequest::program(SB)
-            .backend(Backend::Dpor)
-            .run()
-            .unwrap();
-        let meta = report.meta();
-        assert_eq!(meta.engine, Engine::Sequential);
-        assert_eq!(meta.reduction, Reduction::SleepSet);
-        assert_eq!(Backend::Dpor.engine(), Engine::Sequential);
-        assert_eq!(Backend::Dpor.reduction(), Reduction::SleepSet);
-        assert_eq!(
-            Backend::Parallel { workers: 3 }.engine(),
-            Engine::Parallel { workers: 3 }
-        );
-        assert_eq!(Backend::Sequential.reduction(), Reduction::None);
     }
 
     #[test]

@@ -41,7 +41,9 @@
 
 use crate::json::Json;
 use crate::session::SessionStats;
-use crate::{Bounds, CheckReport, CheckRequest, Engine, Mode, ModelChoice, Reduction, StoreKind};
+use crate::{
+    Bounds, CheckError, CheckReport, CheckRequest, Engine, Mode, ModelChoice, Reduction, StoreKind,
+};
 use c11_litmus::{load_litmus_file, parse_litmus};
 use std::io::{ErrorKind, Read, Write};
 
@@ -156,7 +158,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// frames carry). Errors are strings destined for the error response.
 pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
     let obj = v.as_obj().ok_or("request must be a JSON object")?;
-    const KNOWN: [&str; 15] = [
+    const KNOWN: [&str; 14] = [
         "id",
         "program",
         "litmus_path",
@@ -165,7 +167,6 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         "mode",
         "engine",
         "reduction",
-        "backend",
         "bounds",
         "store",
         "symmetry",
@@ -225,54 +226,6 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
             }
             _ => return Err("\"mode\" must be \"outcomes\", \"count\" or \"litmus\"".to_string()),
         });
-    }
-    if let Some(backend) = v.get("backend") {
-        // The legacy single-axis spelling, kept one deprecation cycle.
-        // Two sub-spellings: the bare kind string ("backend":"dpor") or
-        // the old report-schema object
-        // ("backend":{"kind":"parallel","workers":4}). "dpor" shims to
-        // the sequential engine with the sleep-set reduction.
-        if v.get("engine").is_some() || v.get("reduction").is_some() {
-            return Err(
-                "\"backend\" is the legacy spelling of \"engine\"/\"reduction\"; send one or the other"
-                    .to_string(),
-            );
-        }
-        req = if let Some(kind) = backend.as_str() {
-            match kind {
-                "sequential" => req.engine(Engine::Sequential),
-                "dpor" => req.reduction(Reduction::SleepSet),
-                "parallel" => req.engine(Engine::Parallel { workers: 2 }),
-                _ => {
-                    return Err(
-                        "\"backend\" must be \"sequential\", \"parallel\" or \"dpor\"".into(),
-                    );
-                }
-            }
-        } else {
-            let fields = backend.as_obj().ok_or("\"backend\" must be an object")?;
-            for (key, _) in fields {
-                if key != "kind" && key != "workers" {
-                    return Err(format!("unknown \"backend\" key {key:?}"));
-                }
-            }
-            match backend.get("kind").and_then(Json::as_str) {
-                Some("sequential") => req.engine(Engine::Sequential),
-                Some("dpor") => req.reduction(Reduction::SleepSet),
-                Some("parallel") => req.engine(Engine::Parallel {
-                    workers: backend
-                        .get("workers")
-                        .and_then(Json::as_usize)
-                        .ok_or("parallel backend needs integer \"workers\"")?,
-                }),
-                _ => {
-                    return Err(
-                        "\"backend\".\"kind\" must be \"sequential\", \"parallel\" or \"dpor\""
-                            .into(),
-                    );
-                }
-            }
-        };
     }
     if let Some(engine) = v.get("engine") {
         // Same two spellings as the report's "backend" block: a bare
@@ -454,6 +407,16 @@ pub fn report_line(id: &str, report: &CheckReport) -> String {
     };
     pairs.insert(1, ("id".to_string(), Json::str(id)));
     Json::Obj(pairs).render()
+}
+
+/// The answer to one request's outcome: its report line, an
+/// `"overloaded"` line when the queue bounced it, or an error line.
+pub fn result_line(id: &str, result: &Result<CheckReport, CheckError>) -> String {
+    match result {
+        Ok(report) => report_line(id, report),
+        Err(CheckError::Overloaded) => overloaded_line(id),
+        Err(e) => error_line(id, &e.to_string()),
+    }
 }
 
 /// The `{"stats": true}` control response: the session's counters as a
@@ -677,8 +640,6 @@ mod tests {
             format!(r#"{{{prog},"reduction":{{"kind":"source-set"}}}}"#),
             format!(r#"{{{prog},"reduction":{{"kind":"sleep-set","contract":"exhaustive"}}}}"#),
             format!(r#"{{{prog},"engine":"sequential","reduction":"sleep-set"}}"#),
-            // The legacy spelling still parses for one cycle.
-            format!(r#"{{{prog},"backend":"dpor"}}"#),
         ] {
             let v = Json::parse(&ok).unwrap();
             assert!(request_from_json(&v).is_ok(), "{ok}");
@@ -698,9 +659,10 @@ mod tests {
                 ),
                 "disagrees",
             ),
+            // The single-axis `backend` spelling is not a request key.
             (
-                format!(r#"{{{prog},"backend":"dpor","reduction":"none"}}"#),
-                "legacy",
+                format!(r#"{{{prog},"backend":"dpor"}}"#),
+                "unknown key \"backend\"",
             ),
         ] {
             let v = Json::parse(&bad).unwrap();

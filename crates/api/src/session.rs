@@ -143,6 +143,33 @@ impl SessionConfig {
         self.cache_path = Some(path.into());
         self
     }
+
+    /// Applies one of the session flags the `c11serve` and `c11netd`
+    /// command lines share (`--workers N`, `--no-cache`,
+    /// `--auto-parallel T`, `--job-timeout-ms MS`, `--cache-capacity N`,
+    /// `--max-queue N`, `--cache-path FILE`), taking its value from
+    /// `args`. Returns `Ok(false)` when `flag` is none of them.
+    pub fn apply_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+        let num = |v: String| v.parse::<usize>().map_err(|e| format!("bad {flag}: {e}"));
+        match flag {
+            "--no-cache" => self.cache = false,
+            "--workers" => self.workers = num(value()?)?,
+            "--auto-parallel" => self.parallel_threshold = num(value()?)?,
+            "--job-timeout-ms" => {
+                self.job_timeout = Some(Duration::from_millis(num(value()?)? as u64));
+            }
+            "--cache-capacity" => self.cache_capacity = Some(num(value()?)?),
+            "--max-queue" => self.max_queue_depth = Some(num(value()?)?),
+            "--cache-path" => self.cache_path = Some(value()?.into()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 }
 
 /// A handle to a job submitted to a [`Session`]; redeem it exactly once

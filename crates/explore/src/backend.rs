@@ -1,157 +1,23 @@
-//! The backend abstraction: one exploration contract, many engines.
+//! The backend dispatch: one exploration contract, many engines.
 //!
-//! [`ExploreBackend`] is the seam the api crate's `CheckRequest` plugs
-//! into: every engine that can enumerate the reachable configurations of a
-//! program under a memory model implements it and returns the same
-//! [`ExploreResult`]. The request surface selects a backend along two
-//! orthogonal axes — an [`Engine`] (who does the walking: the sequential
-//! reference or the parallel engine) × a [`Reduction`] (how much of the
-//! state space the walk may skip: none, sleep sets, or the finals-only
-//! source sets) — combined into the pool-friendly [`AnyBackend`] handle.
-//! The concrete implementations are [`SequentialBackend`],
-//! [`ParallelBackend`], the sleep-set engine [`DporBackend`]
-//! (see [`crate::dpor`]) and the source-set engine [`SourceSetBackend`]
-//! (see [`crate::source`]).
+//! [`AnyBackend`] is the seam the api crate's `CheckRequest` plugs into:
+//! every engine that can enumerate the reachable configurations of a
+//! program under a memory model returns the same [`ExploreResult`]. The
+//! request surface selects an engine along two orthogonal axes — an
+//! [`Engine`] (who does the walking: the sequential reference or the
+//! parallel engine) × a [`Reduction`] (how much of the state space the
+//! walk may skip: none, sleep sets, or the finals-only source sets) —
+//! and [`AnyBackend::run_invariant`] matches on the pair: the sequential
+//! BFS ([`crate::engine`], with the sleep-set filter of [`crate::dpor`]
+//! when asked), the parallel engine ([`crate::par`]) or the source-set
+//! engine ([`crate::source`]).
 
-use crate::dpor::explore_dpor_invariant;
-use crate::engine::{explore_invariant_with, ExploreConfig, ExploreResult};
+use crate::engine::{explore_dpor_invariant, explore_invariant_with, ExploreConfig, ExploreResult};
 use crate::par::parallel_explore_invariant;
 use crate::source::explore_source_invariant;
 use c11_core::config::Config;
 use c11_core::model::MemoryModel;
 use c11_lang::Prog;
-
-/// An exploration engine for a memory model `M`.
-///
-/// The invariant closure is `Fn + Sync` (not `FnMut`) so one contract
-/// covers both sequential and parallel engines; accumulate findings
-/// through interior mutability (or use [`ExploreResult::violations`],
-/// which every backend fills).
-pub trait ExploreBackend<M: MemoryModel> {
-    /// A short human-readable name ("sequential", "parallel(4)").
-    fn name(&self) -> String;
-
-    /// Explores all reachable configurations within `cfg`'s bounds,
-    /// checking `inv` on each.
-    fn run_invariant(
-        &self,
-        model: &M,
-        prog: &Prog,
-        cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M>;
-
-    /// Explores without an invariant.
-    fn run(&self, model: &M, prog: &Prog, cfg: &ExploreConfig) -> ExploreResult<M> {
-        self.run_invariant(model, prog, cfg, &|_| true)
-    }
-}
-
-/// The sequential BFS engine (deterministic; the reference).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SequentialBackend;
-
-impl<M: MemoryModel> ExploreBackend<M> for SequentialBackend {
-    fn name(&self) -> String {
-        "sequential".to_string()
-    }
-
-    fn run_invariant(
-        &self,
-        model: &M,
-        prog: &Prog,
-        cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M> {
-        explore_invariant_with(model, prog, cfg, |c| inv(c))
-    }
-}
-
-/// The parallel engine (see [`crate::par`]): worker-private queues with
-/// chunk donation, a striped lock-free visited filter, and per-worker
-/// arenas merged at the scope join. Requires the model and its states to
-/// cross *and share across* threads; always deduplicates.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelBackend {
-    /// Number of worker threads (clamped to ≥ 1).
-    pub workers: usize,
-}
-
-impl ParallelBackend {
-    /// A parallel backend with `workers` threads.
-    pub fn new(workers: usize) -> ParallelBackend {
-        ParallelBackend { workers }
-    }
-}
-
-impl<M> ExploreBackend<M> for ParallelBackend
-where
-    M: MemoryModel + Sync,
-    M::State: Send + Sync,
-{
-    fn name(&self) -> String {
-        format!("parallel({})", self.workers.max(1))
-    }
-
-    fn run_invariant(
-        &self,
-        model: &M,
-        prog: &Prog,
-        cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M> {
-        parallel_explore_invariant(model, prog, cfg, self.workers, inv)
-    }
-}
-
-/// The sleep-set DPOR engine (see [`crate::dpor`]): visits exactly the
-/// sequential engine's states — identical finals, verdicts, violations,
-/// truncation — while generating strictly fewer successor configurations
-/// wherever the model's independence oracle lets siblings sleep. Always
-/// deduplicates (the sleep sets live in the visited table).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DporBackend;
-
-impl<M: MemoryModel> ExploreBackend<M> for DporBackend {
-    fn name(&self) -> String {
-        "dpor".to_string()
-    }
-
-    fn run_invariant(
-        &self,
-        model: &M,
-        prog: &Prog,
-        cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M> {
-        explore_dpor_invariant(model, prog, cfg, |c| inv(c))
-    }
-}
-
-/// The source-set DPOR engine (see [`crate::source`]): explores one
-/// execution per Mazurkiewicz trace under the **finals-only contract** —
-/// finals (by fingerprint multiset), litmus verdicts, violations on the
-/// configurations it does visit, and the `truncated` flag match the
-/// sequential engine, while `unique`/`generated` are intentionally
-/// smaller and transient states may be skipped entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SourceSetBackend;
-
-impl<M: MemoryModel> ExploreBackend<M> for SourceSetBackend {
-    fn name(&self) -> String {
-        "source-set".to_string()
-    }
-
-    fn run_invariant(
-        &self,
-        model: &M,
-        prog: &Prog,
-        cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M> {
-        explore_source_invariant(model, prog, cfg, |c| inv(c))
-    }
-}
 
 /// Who does the walking: the two exploration engines proper, orthogonal
 /// to the [`Reduction`] strategy layered on top.
@@ -182,7 +48,7 @@ impl Engine {
 /// `None` and `SleepSet` preserve the full exhaustive contract (identical
 /// states, finals, verdicts, violations); `SourceSet` trades the
 /// intermediate states away under the finals-only contract (see
-/// [`SourceSetBackend`]). The reductions run on the sequential engine —
+/// [`crate::source`]). The reductions run on the sequential engine —
 /// combining them with [`Engine::Parallel`] is rejected at the request
 /// layer (`c11_api`); this handle, which must stay total, runs the
 /// reduction sequentially.
@@ -191,10 +57,10 @@ pub enum Reduction {
     /// No reduction: visit every reachable configuration.
     #[default]
     None,
-    /// Sleep-set DPOR ([`DporBackend`]): same states, fewer generated
+    /// Sleep-set DPOR ([`crate::dpor`]): same states, fewer generated
     /// transitions.
     SleepSet,
-    /// Source-set DPOR ([`SourceSetBackend`]): one execution per trace,
+    /// Source-set DPOR ([`crate::source`]): one execution per trace,
     /// finals-only contract.
     SourceSet,
 }
@@ -225,11 +91,11 @@ impl Reduction {
 /// model at once.
 ///
 /// Schedulers that multiplex many checking jobs over shared worker
-/// threads (the api crate's `Session`) cannot hold a `dyn
-/// ExploreBackend<M>` — the model `M` differs per job (RA for one
-/// request, SC for the next, both inside a litmus verdict). `AnyBackend`
-/// is the monomorphisation-deferring form: ship the handle across the
-/// pool, then let each job instantiate it at its own model.
+/// threads (the api crate's `Session`) need one handle for every job,
+/// although the model `M` differs per job (RA for one request, SC for
+/// the next, both inside a litmus verdict). `AnyBackend` defers the
+/// monomorphisation: ship the handle across the pool, then let each
+/// run instantiate it at its own model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct AnyBackend {
     /// Who walks the state space.
@@ -252,7 +118,7 @@ impl AnyBackend {
         }
     }
 
-    /// The sleep-set DPOR engine (sequential).
+    /// The sequential engine with the sleep-set filter.
     pub fn sleep_set() -> AnyBackend {
         AnyBackend {
             engine: Engine::Sequential,
@@ -267,44 +133,58 @@ impl AnyBackend {
             reduction: Reduction::SourceSet,
         }
     }
-}
-
-impl<M> ExploreBackend<M> for AnyBackend
-where
-    M: MemoryModel + Sync,
-    M::State: Send + Sync,
-{
-    fn name(&self) -> String {
+    /// A short human-readable name ("sequential", "parallel(4)",
+    /// "sequential+sleep-set").
+    pub fn name(&self) -> String {
         match (self.engine, self.reduction) {
-            (Engine::Sequential, Reduction::None) => ExploreBackend::<M>::name(&SequentialBackend),
+            (Engine::Sequential, Reduction::None) => "sequential".to_string(),
             (Engine::Parallel { workers }, Reduction::None) => {
-                ExploreBackend::<M>::name(&ParallelBackend::new(workers))
+                format!("parallel({})", workers.max(1))
             }
-            (engine, reduction) => {
-                format!("{}+{}", engine.kind_str(), reduction.kind_str())
-            }
+            (engine, reduction) => format!("{}+{}", engine.kind_str(), reduction.kind_str()),
         }
     }
 
-    fn run_invariant(
+    /// Explores all reachable configurations of `prog` under `model`
+    /// within `cfg`'s bounds, checking `inv` on each.
+    ///
+    /// The invariant is `Fn + Sync` (not `FnMut`) so one contract covers
+    /// both sequential and parallel engines; accumulate findings through
+    /// interior mutability (or use [`ExploreResult::violations`], which
+    /// every engine fills).
+    pub fn run_invariant<M, F>(
         &self,
         model: &M,
         prog: &Prog,
         cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M> {
+        inv: &F,
+    ) -> ExploreResult<M>
+    where
+        M: MemoryModel + Sync,
+        M::State: Send + Sync,
+        F: Fn(&Config<M>) -> bool + Sync + ?Sized,
+    {
         match (self.engine, self.reduction) {
             (Engine::Sequential, Reduction::None) => {
-                SequentialBackend.run_invariant(model, prog, cfg, inv)
+                explore_invariant_with(model, prog, cfg, |c| inv(c))
             }
             (Engine::Parallel { workers }, Reduction::None) => {
-                ParallelBackend::new(workers).run_invariant(model, prog, cfg, inv)
+                parallel_explore_invariant(model, prog, cfg, workers, inv)
             }
             // Reductions run on the sequential engine (the request
             // layer rejects Parallel × reduction before it gets here).
-            (_, Reduction::SleepSet) => DporBackend.run_invariant(model, prog, cfg, inv),
-            (_, Reduction::SourceSet) => SourceSetBackend.run_invariant(model, prog, cfg, inv),
+            (_, Reduction::SleepSet) => explore_dpor_invariant(model, prog, cfg, |c| inv(c)),
+            (_, Reduction::SourceSet) => explore_source_invariant(model, prog, cfg, |c| inv(c)),
         }
+    }
+
+    /// Explores without an invariant.
+    pub fn run<M>(&self, model: &M, prog: &Prog, cfg: &ExploreConfig) -> ExploreResult<M>
+    where
+        M: MemoryModel + Sync,
+        M::State: Send + Sync,
+    {
+        self.run_invariant(model, prog, cfg, &|_: &Config<M>| true)
     }
 }
 
@@ -314,9 +194,9 @@ mod tests {
     use c11_core::model::{RaModel, ScModel};
     use c11_lang::parse_program;
 
-    /// Both backends through the trait object surface the api crate uses.
+    /// The exhaustive handles agree with the sequential reference.
     #[test]
-    fn backends_agree_through_the_trait() {
+    fn backends_agree_through_the_dispatch() {
         let prog = parse_program(
             "vars x y;
              thread t1 { x := 1; r0 <- y; }
@@ -324,15 +204,10 @@ mod tests {
         )
         .unwrap();
         let cfg = ExploreConfig::default();
-        let backends: Vec<Box<dyn ExploreBackend<RaModel>>> = vec![
-            Box::new(SequentialBackend),
-            Box::new(ParallelBackend::new(2)),
-            Box::new(DporBackend),
-        ];
-        // SourceSetBackend is exercised separately: it keeps finals and
-        // verdicts but intentionally not `unique`.
-        let reference = SequentialBackend.run(&RaModel, &prog, &cfg);
-        for b in &backends {
+        // The source-set handle is exercised separately: it keeps finals
+        // and verdicts but intentionally not `unique`.
+        let reference = AnyBackend::sequential().run(&RaModel, &prog, &cfg);
+        for b in [AnyBackend::parallel(2), AnyBackend::sleep_set()] {
             let res = b.run(&RaModel, &prog, &cfg);
             assert_eq!(res.unique, reference.unique, "{}", b.name());
             assert_eq!(res.finals.len(), reference.finals.len(), "{}", b.name());
@@ -340,11 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn trait_covers_store_based_models_too() {
+    fn dispatch_covers_store_based_models_too() {
         let prog = parse_program("vars x; thread t { x := 1; r0 <- x; }").unwrap();
         let cfg = ExploreConfig::default();
-        let seq = SequentialBackend.run(&ScModel, &prog, &cfg);
-        let par = ParallelBackend::new(2).run(&ScModel, &prog, &cfg);
+        let seq = AnyBackend::sequential().run(&ScModel, &prog, &cfg);
+        let par = AnyBackend::parallel(2).run(&ScModel, &prog, &cfg);
         assert_eq!(seq.unique, par.unique);
     }
 
@@ -357,7 +232,7 @@ mod tests {
         )
         .unwrap();
         let cfg = ExploreConfig::default();
-        let reference = SequentialBackend.run(&RaModel, &prog, &cfg);
+        let reference = explore_invariant_with(&RaModel, &prog, &cfg, |_| true);
         for handle in [
             AnyBackend::sequential(),
             AnyBackend::parallel(2),
@@ -375,34 +250,15 @@ mod tests {
         let src = AnyBackend::source_set().run(&RaModel, &prog, &cfg);
         assert_eq!(src.finals.len(), reference.finals.len());
         assert!(src.unique <= reference.unique);
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&AnyBackend::parallel(3)),
-            "parallel(3)"
-        );
+        assert_eq!(AnyBackend::parallel(3).name(), "parallel(3)");
     }
 
     #[test]
     fn names_are_descriptive() {
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&SequentialBackend),
-            "sequential"
-        );
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&ParallelBackend::new(4)),
-            "parallel(4)"
-        );
-        assert_eq!(ExploreBackend::<RaModel>::name(&DporBackend), "dpor");
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&SourceSetBackend),
-            "source-set"
-        );
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&AnyBackend::sleep_set()),
-            "sequential+sleep-set"
-        );
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&AnyBackend::source_set()),
-            "sequential+source-set"
-        );
+        assert_eq!(AnyBackend::sequential().name(), "sequential");
+        assert_eq!(AnyBackend::parallel(4).name(), "parallel(4)");
+        assert_eq!(AnyBackend::parallel(0).name(), "parallel(1)");
+        assert_eq!(AnyBackend::sleep_set().name(), "sequential+sleep-set");
+        assert_eq!(AnyBackend::source_set().name(), "sequential+source-set");
     }
 }

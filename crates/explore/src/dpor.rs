@@ -1,38 +1,42 @@
-//! Sleep-set dynamic partial-order reduction — the third backend.
+//! Sleep-set dynamic partial-order reduction — a successor filter in
+//! the sequential engine.
 //!
 //! The sequential BFS already collapses *states* reached by different
 //! interleavings of the same execution (the canonical fingerprint of
 //! `c11_core::state` is interleaving-insensitive), but it still pays for
 //! every redundant *transition*: from each state it generates every
-//! thread's successors, only to have dedup throw most of them away. This
-//! engine prunes those transitions up front with sleep sets: after
-//! exploring thread `t` from a state, every later sibling step
-//! *independent* of `t` carries `t` asleep into its successor — the
-//! commuted order would only re-derive a state the `t`-first order
-//! already produces. Dedup stays keyed by the same 128-bit configuration
-//! fingerprints as the sequential engine.
+//! thread's successors, only to have dedup throw most of them away. The
+//! sleep-set filter prunes those transitions up front: after exploring
+//! thread `t` from a state, every later sibling step *independent* of
+//! `t` carries `t` asleep into its successor — the commuted order would
+//! only re-derive a state the `t`-first order already produces.
+//!
+//! The filter is not an engine of its own. [`crate::explore_dpor`] runs
+//! the one breadth-first loop in [`crate::engine`] with a sleep mask on
+//! every queue entry; at expansion the loop asks this module's helpers
+//! which threads the successors may put to sleep. Dedup stays keyed by
+//! the same 128-bit configuration fingerprints, and is always on.
 //!
 //! ## The contract: every state, fewer transitions
 //!
 //! Sleep sets (without persistent/source sets) prune **transitions,
 //! never states**: the reduced search still generates *exactly* the
-//! sequential engine's state set, so `unique`, the finals multiset,
-//! litmus verdicts, invariant violations and the truncation flag all
-//! coincide with the reference engine — the property the api crate's
+//! unreduced state set, so `unique`, the finals multiset, litmus
+//! verdicts, invariant violations and the truncation flag all coincide
+//! with the reference run — the property the api crate's
 //! backend-agnostic result cache relies on (reports are cached without
-//! the backend in the key). Only `generated` (and wall time) shrink.
-//! This is deliberate: source-set DPOR prunes harder but loses
-//! intermediate states, which would break the
-//! all-backends-identical-reports contract for invariant checking; it is
-//! recorded in the ROADMAP as the next lever behind a finals-only mode.
+//! the engine in the key). Only `generated` (and wall time) shrink.
+//! Source-set DPOR ([`crate::source`]) prunes harder but loses
+//! intermediate states, so it runs under the separate finals-only
+//! contract.
 //!
 //! The one bound outside the contract is the `max_states` safety cap:
-//! it cuts the search after a fixed *number* of states, and since this
-//! engine enqueues in a different order than the sequential BFS, a
-//! cap-truncated run keeps a different prefix (the parallel engine has
-//! the same caveat — worker scheduling decides its prefix). Both
-//! engines still report `truncated = true`; the event and depth bounds
-//! are per-state properties and stay exactly equal.
+//! it cuts the search after a fixed *number* of states, and since the
+//! filter expands τ steps first, a cap-truncated run keeps a different
+//! prefix (the parallel engine has the same caveat — worker scheduling
+//! decides its prefix). Both runs still report `truncated = true`; the
+//! event and depth bounds are per-state properties and stay exactly
+//! equal.
 //!
 //! ## One-level sleep sets, no wake-ups
 //!
@@ -49,8 +53,7 @@
 //! explored at `P` itself, and `v` is (inductively, along parents with
 //! strictly earlier first-generation times) explored at `t(P)`, so the
 //! commuted target `t(v(P)) = v(t(P))` is always generated. Second
-//! arrivals at visited states are plain dedup rejects, exactly as in the
-//! sequential engine.
+//! arrivals at visited states are plain dedup rejects.
 //!
 //! ## Independence and races
 //!
@@ -71,17 +74,12 @@
 //! at least as much (τ never sleeps an action). Otherwise the covering
 //! path through the action-first order could be cut by the event bound
 //! while the τ-first state survives it, losing a state that the
-//! sequential engine (which bound-checks at expansion, not generation)
+//! unreduced search (which bound-checks at expansion, not generation)
 //! still reports.
 
-use crate::engine::{config_fingerprint, ExploreConfig, ExploreResult, TraceArena, TraceStep};
-use crate::sym::{sym_fingerprint, SymClasses};
-use c11_core::config::{Config, ConfigStep};
 use c11_core::model::MemoryModel;
 use c11_lang::step::StepShape;
-use c11_lang::{Prog, ThreadId};
-use c11_store::{AnyStore, StoreStats, VisitedStore};
-use std::collections::VecDeque;
+use c11_lang::ThreadId;
 
 /// Sleep sets are thread-id bitmasks (bit `i` = thread `i + 1`). Programs
 /// wider than 64 threads get an always-empty mask: no reduction, still
@@ -152,205 +150,11 @@ pub(crate) fn successor_sleep<M: MemoryModel>(
     out
 }
 
-/// Explores all reachable configurations of `prog` under `model` with
-/// sleep-set partial-order reduction, checking `inv` on each. Returns the
-/// same [`ExploreResult`] as the sequential engine — identical `unique`,
-/// finals multiset, violations and truncation — with a smaller
-/// `generated` count wherever independent steps let siblings sleep.
-/// Deduplication is always on ([`ExploreConfig::dedup`] is ignored):
-/// sleep-set soundness leans on the fingerprint-keyed visited set.
-pub fn explore_dpor_invariant<M, F>(
-    model: &M,
-    prog: &Prog,
-    cfg: &ExploreConfig,
-    mut inv: F,
-) -> ExploreResult<M>
-where
-    M: MemoryModel,
-    F: FnMut(&Config<M>) -> bool,
-{
-    let mut result = ExploreResult {
-        unique: 0,
-        generated: 0,
-        finals: Vec::new(),
-        final_traces: Vec::new(),
-        truncated: false,
-        violations: Vec::new(),
-        stuck: 0,
-        interrupted: None,
-        store_stats: None,
-        sym_classes: None,
-    };
-    let track = cfg.record_traces || cfg.witness_traces;
-    let mut nodes = TraceArena::new();
-    let classes = SymClasses::of(prog);
-    let sym_on = cfg.sym_effective(model, &classes);
-    let mut visited = AnyStore::new(cfg.store);
-    let mut final_nodes: Vec<usize> = Vec::new();
-    let key = |c: &Config<M>| {
-        if sym_on {
-            sym_fingerprint(model, &classes, c)
-        } else {
-            config_fingerprint(model, c)
-        }
-    };
-
-    // (config, trace node, depth, threads asleep at expansion).
-    type Item<M> = (Config<M>, usize, usize, SleepMask);
-    let mut queue: VecDeque<Item<M>> = VecDeque::new();
-
-    let initial = Config::initial(model, prog);
-    visited.insert(key(&initial));
-    if !inv(&initial) {
-        result.violations.push((initial.clone(), Vec::new()));
-    }
-    if initial.is_terminated() {
-        result.finals.push(initial);
-        final_nodes.push(TraceArena::ROOT);
-    } else {
-        queue.push_back((initial, TraceArena::ROOT, 0, 0));
-    }
-    result.unique = 1;
-
-    // Mirrors the sequential engine's budget discipline: one clock read
-    // up front, then a cheap poll per popped state.
-    let budget = &cfg.budget;
-    let unlimited = budget.is_unlimited();
-    if !unlimited {
-        result.interrupted = budget.check_now(result.unique);
-    }
-    let mut tick: u64 = 0;
-    while result.interrupted.is_none() {
-        let Some((config, node_idx, depth, sleep)) = queue.pop_front() else {
-            break;
-        };
-        if !unlimited {
-            tick += 1;
-            if let Some(why) = budget.check(tick, result.unique) {
-                result.interrupted = Some(why);
-                break;
-            }
-        }
-        if result.unique >= cfg.max_states {
-            result.truncated = true;
-            break;
-        }
-        if depth >= cfg.max_depth || model.state_size(&config.mem) >= cfg.max_events {
-            result.truncated = true;
-            continue;
-        }
-        let nthreads = config.coms.len();
-        // Masks are meaningless past 64 threads: fall back to exploring
-        // everything with empty sleep sets. The same fallback applies
-        // under symmetry quotienting — a sleeping thread's covering path
-        // can be cut by the quotient merging its target into an orbit
-        // representative reached some other way, so sleep sets and
-        // symmetric keying do not compose yet (the quotient itself
-        // already prunes far more on the programs that have symmetry).
-        let masks_ok = nthreads <= 64 && !sym_on;
-        let shapes: Vec<Option<StepShape>> = config
-            .thread_ids()
-            .map(|t| config.step_shape_of(t))
-            .collect();
-        // Expansion order: τ steps first, then actions (both in thread
-        // order). τ steps may sleep across actions but not vice versa
-        // (the event-growth guard), so exploring them first maximises
-        // pruning. Any fixed order is sound.
-        let order = {
-            let mut order: Vec<usize> = Vec::with_capacity(nthreads);
-            order.extend((0..nthreads).filter(|&i| matches!(shapes[i], Some(StepShape::Tau))));
-            order.extend((0..nthreads).filter(|&i| matches!(shapes[i], Some(StepShape::Act(_)))));
-            order
-        };
-        let sleep = if masks_ok { sleep } else { 0 };
-        let mut explored: SleepMask = 0;
-        let mut generated_any = false;
-        for t in order.iter().copied() {
-            if sleep & bit(t) != 0 {
-                continue;
-            }
-            let succ_sleep = if masks_ok {
-                successor_sleep(model, &config.mem, &shapes, explored, t)
-            } else {
-                0
-            };
-            for ConfigStep {
-                tid, label, next, ..
-            } in config.successors_of(model, ThreadId(t as u8 + 1))
-            {
-                generated_any = true;
-                result.generated += 1;
-                if !visited.insert(key(&next)) {
-                    continue;
-                }
-                let new_idx = if track {
-                    nodes.push(node_idx, TraceStep { tid, label })
-                } else {
-                    TraceArena::ROOT // never dereferenced when tracking is off
-                };
-                result.unique += 1;
-                if !inv(&next) {
-                    let trace = if cfg.record_traces {
-                        nodes.trace_of(new_idx)
-                    } else {
-                        Vec::new()
-                    };
-                    result.violations.push((next.clone(), trace));
-                }
-                if next.is_terminated() {
-                    result.finals.push(next);
-                    final_nodes.push(new_idx);
-                } else {
-                    queue.push_back((next, new_idx, depth + 1, succ_sleep));
-                }
-            }
-            explored |= bit(t);
-        }
-        // Stuck accounting must see the *full* successor set: if the
-        // awake threads produced nothing, probe the sleeping ones too —
-        // their steps are discarded (they are covered elsewhere), so
-        // `generated` is unaffected. Under RA this never fires.
-        if !generated_any && !order.is_empty() && !config.is_terminated() {
-            let slept_has_steps = order.iter().any(|&t| {
-                sleep & bit(t) != 0
-                    && !config
-                        .successors_of(model, ThreadId(t as u8 + 1))
-                        .is_empty()
-            });
-            if !slept_has_steps {
-                result.stuck += 1;
-            }
-        }
-    }
-    if cfg.witness_traces {
-        result.final_traces = final_nodes
-            .into_iter()
-            .map(|idx| nodes.trace_of(idx))
-            .collect();
-    }
-    result.store_stats = Some(StoreStats {
-        sym: sym_on,
-        ..visited.stats()
-    });
-    if sym_on {
-        result.sym_classes = Some(classes);
-    }
-    result
-}
-
-/// [`explore_dpor_invariant`] without an invariant.
-pub fn explore_dpor<M: MemoryModel>(
-    model: &M,
-    prog: &Prog,
-    cfg: &ExploreConfig,
-) -> ExploreResult<M> {
-    explore_dpor_invariant(model, prog, cfg, |_| true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Explorer;
+    use crate::engine::{explore_dpor, explore_dpor_invariant, ExploreConfig, Explorer};
+    use c11_core::config::Config;
     use c11_core::model::{RaModel, ScModel};
     use c11_lang::{parse_program, ActionShape, VarId};
 

@@ -1,11 +1,14 @@
-//! The sequential exploration engine.
+//! The sequential exploration engine: one breadth-first loop, into which
+//! the sleep-set reduction of [`crate::dpor`] plugs as a successor
+//! filter, plus the result type and scaffolding every engine shares.
 
 use crate::budget::{Budget, Interrupt};
+use crate::dpor::{bit, successor_sleep, SleepMask};
 use crate::sym::{sym_fingerprint, SymClasses};
 use c11_core::config::{Config, ConfigStep};
 use c11_core::fingerprint::{combine128, hash128_of};
 use c11_core::model::MemoryModel;
-use c11_lang::step::RegFile;
+use c11_lang::step::{RegFile, StepShape};
 use c11_lang::{Prog, RegId, StepLabel, ThreadId, Val};
 use c11_store::{AnyStore, StoreKind, StoreStats, VisitedStore};
 use std::collections::VecDeque;
@@ -185,9 +188,9 @@ pub fn render_trace(trace: &[TraceStep], prog: &Prog) -> String {
 }
 
 /// Parent-pointer arena for violation/witness trace reconstruction,
-/// shared by the sequential and DPOR engines (the parallel engine keeps
-/// its own cross-worker variant in [`crate::par`]). Starts with the root
-/// node ([`TraceArena::ROOT`]) already in place.
+/// shared by the sequential and source-set engines (the parallel engine
+/// keeps its own cross-worker variant in [`crate::par`]). Starts with
+/// the root node ([`TraceArena::ROOT`]) already in place.
 pub(crate) struct TraceArena {
     nodes: Vec<TraceNode>,
 }
@@ -314,6 +317,46 @@ pub struct ExploreResult<M: MemoryModel> {
 }
 
 impl<M: MemoryModel> ExploreResult<M> {
+    /// An empty result: nothing visited, no bound hit.
+    pub(crate) fn new() -> Self {
+        ExploreResult {
+            unique: 0,
+            generated: 0,
+            finals: Vec::new(),
+            final_traces: Vec::new(),
+            truncated: false,
+            violations: Vec::new(),
+            stuck: 0,
+            interrupted: None,
+            store_stats: None,
+            sym_classes: None,
+        }
+    }
+
+    /// The tail every engine shares: a witness trace per final (resolved
+    /// through `trace_of` from the finals' trace nodes, only when
+    /// [`ExploreConfig::witness_traces`] asks for them), the visited
+    /// store's accounting, and the symmetry classes when the run keyed
+    /// the visited set by them.
+    pub(crate) fn finish<N>(
+        mut self,
+        cfg: &ExploreConfig,
+        final_nodes: impl IntoIterator<Item = N>,
+        trace_of: impl Fn(N) -> Vec<TraceStep>,
+        store: Option<StoreStats>,
+        sym_classes: Option<SymClasses>,
+    ) -> Self {
+        if cfg.witness_traces {
+            self.final_traces = final_nodes.into_iter().map(trace_of).collect();
+        }
+        self.store_stats = store.map(|s| StoreStats {
+            sym: sym_classes.is_some(),
+            ..s
+        });
+        self.sym_classes = sym_classes;
+        self
+    }
+
     /// Register snapshots of all terminated configurations (deduplicated).
     pub fn final_register_states(&self) -> Vec<RegSnapshot> {
         let mut seen = std::collections::HashSet::new();
@@ -357,30 +400,63 @@ impl<M: MemoryModel> ExploreResult<M> {
 }
 
 /// Explores all reachable configurations of `prog` under `model`, checking
-/// `inv` on each. The free-function form the [`crate::ExploreBackend`]
-/// trait and the [`Explorer`] wrapper both delegate to.
+/// `inv` on each. The free-function form [`crate::AnyBackend`] and the
+/// [`Explorer`] wrapper both delegate to.
 pub fn explore_invariant_with<M, F>(
     model: &M,
     prog: &Prog,
     cfg: &ExploreConfig,
-    mut inv: F,
+    inv: F,
 ) -> ExploreResult<M>
 where
     M: MemoryModel,
     F: FnMut(&Config<M>) -> bool,
 {
-    let mut result = ExploreResult {
-        unique: 0,
-        generated: 0,
-        finals: Vec::new(),
-        final_traces: Vec::new(),
-        truncated: false,
-        violations: Vec::new(),
-        stuck: 0,
-        interrupted: None,
-        store_stats: None,
-        sym_classes: None,
-    };
+    bfs(model, prog, cfg, inv, false)
+}
+
+/// [`explore_invariant_with`] with the sleep-set filter of
+/// [`crate::dpor`]: the same [`ExploreResult`] — identical `unique`,
+/// finals multiset, violations and truncation — with a smaller
+/// `generated` count wherever independent steps let siblings sleep.
+/// Deduplication is always on ([`ExploreConfig::dedup`] is ignored):
+/// sleep-set soundness leans on the fingerprint-keyed visited set.
+pub fn explore_dpor_invariant<M, F>(
+    model: &M,
+    prog: &Prog,
+    cfg: &ExploreConfig,
+    inv: F,
+) -> ExploreResult<M>
+where
+    M: MemoryModel,
+    F: FnMut(&Config<M>) -> bool,
+{
+    bfs(model, prog, cfg, inv, true)
+}
+
+/// [`explore_dpor_invariant`] without an invariant.
+pub fn explore_dpor<M: MemoryModel>(
+    model: &M,
+    prog: &Prog,
+    cfg: &ExploreConfig,
+) -> ExploreResult<M> {
+    explore_dpor_invariant(model, prog, cfg, |_| true)
+}
+
+/// The breadth-first search behind the sequential engine, with or
+/// without the sleep-set successor filter.
+fn bfs<M, F>(
+    model: &M,
+    prog: &Prog,
+    cfg: &ExploreConfig,
+    mut inv: F,
+    sleep_sets: bool,
+) -> ExploreResult<M>
+where
+    M: MemoryModel,
+    F: FnMut(&Config<M>) -> bool,
+{
+    let mut result = ExploreResult::new();
     // Node store for trace reconstruction — only fed when someone will
     // read the parent pointers back (mirrors the parallel engine's
     // `track` guard; an untracked run does no per-state bookkeeping).
@@ -388,11 +464,18 @@ where
     let mut nodes = TraceArena::new();
     let classes = SymClasses::of(prog);
     let sym_on = cfg.sym_effective(model, &classes);
+    let dedup = cfg.dedup || sleep_sets;
     let mut visited = AnyStore::new(cfg.store);
     // Node index of each final (for witness-trace materialisation).
     let mut final_nodes: Vec<usize> = Vec::new();
 
     let initial = Config::initial(model, prog);
+    // Sleep masks are meaningless past 64 threads, and under symmetry
+    // quotienting a sleeping thread's covering path can be cut by the
+    // quotient merging its target into an orbit representative reached
+    // some other way. Either way the filter keeps its expansion order
+    // but puts nothing to sleep (sound, no reduction).
+    let masks = sleep_sets && !sym_on && initial.coms.len() <= SleepMask::BITS as usize;
     let key = |c: &Config<M>| {
         if sym_on {
             sym_fingerprint(model, &classes, c)
@@ -400,8 +483,9 @@ where
             config_fingerprint(model, c)
         }
     };
-    let mut queue: VecDeque<(Config<M>, usize, usize)> = VecDeque::new(); // (cfg, node, depth)
-    if cfg.dedup {
+    // (cfg, node, depth, threads asleep at expansion)
+    let mut queue: VecDeque<(Config<M>, usize, usize, SleepMask)> = VecDeque::new();
+    if dedup {
         visited.insert(key(&initial));
     }
     // Check the initial configuration.
@@ -415,7 +499,7 @@ where
         result.finals.push(initial);
         final_nodes.push(TraceArena::ROOT);
     } else {
-        queue.push_back((initial, TraceArena::ROOT, 0));
+        queue.push_back((initial, TraceArena::ROOT, 0, 0));
     }
     result.unique = 1;
 
@@ -429,7 +513,7 @@ where
     }
     let mut tick: u64 = 0;
     while result.interrupted.is_none() {
-        let Some((config, node_idx, depth)) = queue.pop_front() else {
+        let Some((config, node_idx, depth, sleep)) = queue.pop_front() else {
             break;
         };
         if !unlimited {
@@ -447,8 +531,25 @@ where
             result.truncated = true;
             continue;
         }
-        let successors = config.successors(model);
-        if successors.is_empty() && !config.is_terminated() {
+        // `child_sleep[t]` is the sleep set thread `t`'s successors carry
+        // (empty without sleep sets: every child starts awake).
+        let (successors, child_sleep) = if sleep_sets {
+            sleep_set_successors(model, &config, sleep, masks)
+        } else {
+            (config.successors(model), Vec::new())
+        };
+        // Stuck accounting must see the *full* successor set: sleeping
+        // threads' steps are covered elsewhere, but they still count as
+        // enabled. Under RA this never fires.
+        if successors.is_empty()
+            && !config.is_terminated()
+            && !(0..config.coms.len()).any(|t| {
+                sleep & bit(t) != 0
+                    && !config
+                        .successors_of(model, ThreadId(t as u8 + 1))
+                        .is_empty()
+            })
+        {
             result.stuck += 1;
         }
         for ConfigStep {
@@ -456,7 +557,7 @@ where
         } in successors
         {
             result.generated += 1;
-            if cfg.dedup && !visited.insert(key(&next)) {
+            if dedup && !visited.insert(key(&next)) {
                 continue;
             }
             let new_idx = if track {
@@ -479,26 +580,55 @@ where
                 result.finals.push(next);
                 final_nodes.push(new_idx);
             } else {
-                queue.push_back((next, new_idx, depth + 1));
+                let sleep = child_sleep.get(tid.0 as usize - 1).copied().unwrap_or(0);
+                queue.push_back((next, new_idx, depth + 1, sleep));
             }
         }
     }
-    if cfg.witness_traces {
-        result.final_traces = final_nodes
-            .into_iter()
-            .map(|idx| nodes.trace_of(idx))
-            .collect();
+    result.finish(
+        cfg,
+        final_nodes,
+        |idx| nodes.trace_of(idx),
+        dedup.then(|| visited.stats()),
+        sym_on.then_some(classes),
+    )
+}
+
+/// The sleep-set successor filter (see [`crate::dpor`]): `config`'s
+/// successors with the threads in `sleep` skipped, τ steps first, then
+/// actions (both in thread order) — τ steps may sleep across actions but
+/// not vice versa (the event-growth guard), so exploring them first
+/// maximises pruning; any fixed order is sound. Also returns, per
+/// thread, the sleep set its successors carry: every sibling explored
+/// before it that may sleep across its step (all empty when `masks` is
+/// off).
+fn sleep_set_successors<M: MemoryModel>(
+    model: &M,
+    config: &Config<M>,
+    sleep: SleepMask,
+    masks: bool,
+) -> (Vec<ConfigStep<M>>, Vec<SleepMask>) {
+    let n = config.coms.len();
+    let shapes: Vec<Option<StepShape>> = config
+        .thread_ids()
+        .map(|t| config.step_shape_of(t))
+        .collect();
+    let taus = (0..n).filter(|&t| matches!(shapes[t], Some(StepShape::Tau)));
+    let actions = (0..n).filter(|&t| matches!(shapes[t], Some(StepShape::Act(_))));
+    let mut successors = Vec::new();
+    let mut child_sleep = vec![0; n];
+    let mut explored: SleepMask = 0;
+    for t in taus.chain(actions) {
+        if sleep & bit(t) != 0 {
+            continue;
+        }
+        if masks {
+            child_sleep[t] = successor_sleep(model, &config.mem, &shapes, explored, t);
+        }
+        successors.extend(config.successors_of(model, ThreadId(t as u8 + 1)));
+        explored |= bit(t);
     }
-    if cfg.dedup {
-        result.store_stats = Some(StoreStats {
-            sym: sym_on,
-            ..visited.stats()
-        });
-    }
-    if sym_on {
-        result.sym_classes = Some(classes);
-    }
-    result
+    (successors, child_sleep)
 }
 
 /// The exploration engine, parameterised by a memory model.

@@ -13,13 +13,14 @@
 //! (E6), the completeness construction (E7), the Peterson verification
 //! (E11) and the benchmark baselines (E13).
 //!
-//! Four engines implement the [`ExploreBackend`] contract, selected
-//! along two orthogonal axes ([`Engine`] × [`Reduction`]): the
-//! sequential BFS reference, the contention-free parallel engine
-//! ([`par`]), the sleep-set dynamic-partial-order-reduction engine
-//! ([`dpor`]) that visits the same states through fewer transitions,
-//! and the source-set engine ([`source`]) that explores one execution
-//! per Mazurkiewicz trace under the finals-only contract.
+//! One handle, [`AnyBackend`], dispatches along two orthogonal axes
+//! ([`Engine`] × [`Reduction`]) to three exploration cores: the
+//! sequential breadth-first search ([`engine`]), into which the
+//! sleep-set partial-order reduction ([`dpor`]) plugs as a successor
+//! filter that visits the same states through fewer transitions; the
+//! contention-free parallel engine ([`par`]); and the source-set engine
+//! ([`source`]) that explores one execution per Mazurkiewicz trace
+//! under the finals-only contract.
 
 pub mod backend;
 pub mod budget;
@@ -30,16 +31,12 @@ pub mod source;
 pub mod stats;
 pub mod sym;
 
-pub use backend::{
-    AnyBackend, DporBackend, Engine, ExploreBackend, ParallelBackend, Reduction, SequentialBackend,
-    SourceSetBackend,
-};
+pub use backend::{AnyBackend, Engine, Reduction};
 pub use budget::{Budget, Interrupt};
 pub use c11_store::{StoreKind, StoreStats};
-pub use dpor::{explore_dpor, explore_dpor_invariant};
 pub use engine::{
-    explore_invariant_with, render_trace, ExploreConfig, ExploreResult, Explorer, RegSnapshot,
-    TraceStep,
+    explore_dpor, explore_dpor_invariant, explore_invariant_with, render_trace, ExploreConfig,
+    ExploreResult, Explorer, RegSnapshot, TraceStep,
 };
 pub use par::{parallel_explore, parallel_explore_invariant};
 pub use source::{explore_source, explore_source_invariant};

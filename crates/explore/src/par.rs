@@ -44,7 +44,6 @@ use c11_core::config::Config;
 use c11_core::model::MemoryModel;
 use c11_lang::Prog;
 use c11_store::concurrent::ConcurrentStore;
-use c11_store::StoreStats;
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -206,60 +205,37 @@ where
     let classes = SymClasses::of(prog);
     let sym_on = cfg.sym_effective(model, &classes);
     let initial = Config::initial(model, prog);
-    let initial_bad = !inv(&initial);
-    if initial.is_terminated() {
-        // Nothing to explore; match the sequential result shape exactly.
-        return ExploreResult {
-            unique: 1,
-            generated: 0,
-            final_traces: if cfg.witness_traces {
-                vec![Vec::new()]
-            } else {
-                Vec::new()
-            },
-            violations: if initial_bad {
-                vec![(initial.clone(), Vec::new())]
-            } else {
-                Vec::new()
-            },
-            finals: vec![initial],
-            truncated: false,
-            stuck: 0,
-            interrupted: None,
-            store_stats: Some(StoreStats {
-                sym: sym_on,
-                ..ConcurrentStore::new(cfg.store, sym_on).stats()
-            }),
-            sym_classes: sym_on.then_some(classes),
+    let mut result = ExploreResult::new();
+    result.unique = 1;
+    if !inv(&initial) {
+        result.violations.push((initial.clone(), Vec::new()));
+    }
+    // Nothing to explore — a terminated initial configuration, or a
+    // deadline already in the past (or a pre-cancelled budget), checked
+    // before any thread is spawned like the sequential engine's up-front
+    // `check_now`: match the sequential result shape exactly.
+    let terminated = initial.is_terminated();
+    result.interrupted = if terminated {
+        None
+    } else {
+        cfg.budget.check_now(1)
+    };
+    if terminated || result.interrupted.is_some() {
+        let final_nodes = if terminated {
+            result.finals.push(initial);
+            vec![()]
+        } else {
+            Vec::new()
         };
+        return result.finish(
+            cfg,
+            final_nodes,
+            |()| Vec::new(),
+            Some(ConcurrentStore::new(cfg.store, sym_on).stats()),
+            sym_on.then_some(classes),
+        );
     }
-    // A deadline already in the past (or a pre-cancelled budget) trips
-    // before any thread is spawned — same discipline as the sequential
-    // engine's up-front `check_now`.
     let unlimited = cfg.budget.is_unlimited();
-    if !unlimited {
-        if let Some(why) = cfg.budget.check_now(1) {
-            return ExploreResult {
-                unique: 1,
-                generated: 0,
-                finals: Vec::new(),
-                final_traces: Vec::new(),
-                truncated: false,
-                violations: if initial_bad {
-                    vec![(initial, Vec::new())]
-                } else {
-                    Vec::new()
-                },
-                stuck: 0,
-                interrupted: Some(why),
-                store_stats: Some(StoreStats {
-                    sym: sym_on,
-                    ..ConcurrentStore::new(cfg.store, sym_on).stats()
-                }),
-                sym_classes: sym_on.then_some(classes),
-            };
-        }
-    }
 
     // The dedup key every worker computes: symmetry-canonical when the
     // quotient is on, the plain configuration fingerprint otherwise.
@@ -285,12 +261,6 @@ where
         panic: Mutex::new(None),
     };
     shared.filter.insert(key(&initial));
-    if initial_bad {
-        shared
-            .violations
-            .lock()
-            .push((initial.clone(), NodeRef::NONE));
-    }
     let mut seeds: Vec<VecDeque<Item<M>>> = (0..workers).map(|_| VecDeque::new()).collect();
     seeds[0].push_back((initial, NodeRef::NONE, 0));
 
@@ -489,49 +459,34 @@ where
         steps
     };
 
-    let mut finals = Vec::new();
-    let mut final_traces = Vec::new();
-    for per_worker in worker_finals {
-        for (cfg_final, node) in per_worker {
-            if cfg.witness_traces {
-                final_traces.push(trace_of(node));
-            }
-            finals.push(cfg_final);
-        }
-    }
-    let violations = shared
+    let (finals, final_nodes): (Vec<_>, Vec<_>) = worker_finals.into_iter().flatten().unzip();
+    result.finals = finals;
+    result
         .violations
-        .into_inner()
-        .into_iter()
-        .map(|(c, node)| {
+        .extend(shared.violations.into_inner().into_iter().map(|(c, node)| {
             let trace = if cfg.record_traces {
                 trace_of(node)
             } else {
                 Vec::new()
             };
             (c, trace)
-        })
-        .collect();
-
-    ExploreResult {
-        unique: shared.unique.load(Ordering::Relaxed),
-        generated,
-        finals,
-        final_traces,
-        truncated: shared.truncated.load(Ordering::Relaxed),
-        violations,
-        stuck,
-        interrupted: match shared.interrupt.load(Ordering::Relaxed) {
-            1 => Some(Interrupt::TimedOut),
-            2 => Some(Interrupt::Cancelled),
-            _ => None,
-        },
-        store_stats: Some(StoreStats {
-            sym: sym_on,
-            ..shared.filter.stats()
-        }),
-        sym_classes: sym_on.then_some(classes),
-    }
+        }));
+    result.unique = shared.unique.load(Ordering::Relaxed);
+    result.generated = generated;
+    result.truncated = shared.truncated.load(Ordering::Relaxed);
+    result.stuck = stuck;
+    result.interrupted = match shared.interrupt.load(Ordering::Relaxed) {
+        1 => Some(Interrupt::TimedOut),
+        2 => Some(Interrupt::Cancelled),
+        _ => None,
+    };
+    result.finish(
+        cfg,
+        final_nodes,
+        trace_of,
+        Some(shared.filter.stats()),
+        sym_on.then_some(classes),
+    )
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Source-set dynamic partial-order reduction — the finals-only engine.
 //!
-//! The sleep-set engine in [`crate::dpor`] deliberately visits the
+//! The sleep-set filter in [`crate::dpor`] deliberately visits the
 //! sequential engine's exact state set and only prunes redundant
 //! *transitions* (10–17 % of `generated` on the bench shapes). This
 //! engine prunes *states*: it is a stateless depth-first search over
@@ -22,7 +22,7 @@
 //! *intermediate* states: `unique` and `generated` are intentionally
 //! smaller, and an invariant over transient states may be checked on
 //! fewer configurations than the exhaustive engines visit (the api crate
-//! therefore routes `Mode::Invariant` requests to the sleep-set engine
+//! therefore routes `Mode::Invariant` requests to the sleep-set filter
 //! instead — see `c11_api`). That trade is the `"finals-only"` reduction
 //! contract surfaced in the `c11check/v1` schema.
 //!
@@ -86,7 +86,7 @@
 //! Programs wider than the 64-bit thread masks fall back to the
 //! sequential engine (sound, no reduction), and symmetry quotienting is
 //! ignored here — the quotient's orbit merging invalidates the covering
-//! argument, the same reason the sleep-set engine disables its masks
+//! argument, the same reason the sleep-set filter disables its masks
 //! under symmetric keying.
 
 use crate::engine::{
@@ -96,7 +96,7 @@ use c11_core::config::{Config, ConfigStep};
 use c11_core::model::MemoryModel;
 use c11_lang::step::StepShape;
 use c11_lang::{ActionShape, Prog, ThreadId};
-use c11_store::{AnyStore, StoreStats, VisitedStore};
+use c11_store::{AnyStore, VisitedStore};
 use std::collections::VecDeque;
 use std::collections::{HashMap, HashSet};
 
@@ -215,18 +215,7 @@ where
     F: FnMut(&Config<M>) -> bool,
 {
     let initial = Config::initial(model, prog);
-    let mut result = ExploreResult {
-        unique: 0,
-        generated: 0,
-        finals: Vec::new(),
-        final_traces: Vec::new(),
-        truncated: false,
-        violations: Vec::new(),
-        stuck: 0,
-        interrupted: None,
-        store_stats: None,
-        sym_classes: None,
-    };
+    let mut result = ExploreResult::new();
     let track = cfg.record_traces || cfg.witness_traces;
     let mut nodes = TraceArena::new();
     let mut visited = AnyStore::new(cfg.store);
@@ -459,17 +448,13 @@ where
         }
     }
 
-    if cfg.witness_traces {
-        result.final_traces = final_nodes
-            .into_iter()
-            .map(|idx| nodes.trace_of(idx))
-            .collect();
-    }
-    result.store_stats = Some(StoreStats {
-        sym: false,
-        ..visited.stats()
-    });
-    result
+    result.finish(
+        cfg,
+        final_nodes,
+        |idx| nodes.trace_of(idx),
+        Some(visited.stats()),
+        None,
+    )
 }
 
 /// [`explore_source_invariant`] without an invariant.
@@ -808,7 +793,7 @@ fn clock_and_races<M: MemoryModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpor::explore_dpor;
+    use crate::engine::explore_dpor;
     use crate::engine::{Explorer, RegSnapshot};
     use c11_core::model::{RaModel, ScModel};
     use c11_lang::parse_program;

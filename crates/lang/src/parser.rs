@@ -116,9 +116,20 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
     Ok(toks)
 }
 
+/// Nesting cap for the recursive descent, counted in statements,
+/// parenthesised expressions, `!` operators and binary-operator links
+/// (each deepens the syntax tree by one). Without it one deeply nested
+/// request (`((((…))))`, `if`s inside `if`s, a long `!` or `+` chain)
+/// would overflow the stack of the thread that parses it, or of the
+/// evaluator, stepper, hasher or pretty-printer that later recurse over
+/// the tree, and abort a long-lived service. The JSON reader's
+/// 128-level cap is the model.
+const MAX_DEPTH: usize = 128;
+
 struct Parser {
     lx: Lexer,
     vars: Vec<(String, Val)>,
+    depth: usize,
 }
 
 impl Parser {
@@ -144,6 +155,28 @@ impl Parser {
             msg: msg.into(),
             line: self.line(),
         })
+    }
+
+    /// Descends one nesting level; past [`MAX_DEPTH`] the program is
+    /// rejected with a positioned error instead of recursing further.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let depth = self.depth;
+        self.nest()?;
+        let out = parse(self);
+        self.depth = depth;
+        out
     }
 
     fn expect_sym(&mut self, sym: &'static str) -> Result<(), ParseError> {
@@ -243,12 +276,19 @@ impl Parser {
         }
     }
 
-    /// Parses statements until the closing `}` (consumed).
+    /// Parses statements until the closing `}` (consumed). A block is a
+    /// left-nested sequence, so each statement after the first is one
+    /// level deeper.
     fn parse_block_body(&mut self) -> Result<Com, ParseError> {
+        let depth = self.depth;
         let mut stmts = Vec::new();
         while !self.eat_sym("}") {
+            if !stmts.is_empty() {
+                self.nest()?;
+            }
             stmts.push(self.parse_stmt()?);
         }
+        self.depth = depth;
         Ok(Com::block(stmts))
     }
 
@@ -258,6 +298,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Com, ParseError> {
+        self.nested(Self::parse_stmt_inner)
+    }
+
+    fn parse_stmt_inner(&mut self) -> Result<Com, ParseError> {
         // Optional `N:` label.
         if let Some(Tok::Num(n)) = self.peek() {
             let n = *n;
@@ -405,25 +449,15 @@ impl Parser {
     }
 
     fn parse_exp(&mut self) -> Result<Exp, ParseError> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Exp, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.eat_sym("||") {
-            let rhs = self.parse_and()?;
-            lhs = Exp::bin(lhs, BinOp::Or, rhs);
-        }
-        Ok(lhs)
+        self.parse_chain(&[("||", BinOp::Or)], Self::parse_and)
     }
 
     fn parse_and(&mut self) -> Result<Exp, ParseError> {
-        let mut lhs = self.parse_cmp()?;
-        while self.eat_sym("&&") {
-            let rhs = self.parse_cmp()?;
-            lhs = Exp::bin(lhs, BinOp::And, rhs);
-        }
-        Ok(lhs)
+        self.parse_chain(&[("&&", BinOp::And)], Self::parse_cmp)
     }
 
     fn parse_cmp(&mut self) -> Result<Exp, ParseError> {
@@ -443,31 +477,38 @@ impl Parser {
     }
 
     fn parse_add(&mut self) -> Result<Exp, ParseError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Sym("+")) => BinOp::Add,
-                Some(Tok::Sym("-")) => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.parse_mul()?;
-            lhs = Exp::bin(lhs, op, rhs);
-        }
+        self.parse_chain(&[("+", BinOp::Add), ("-", BinOp::Sub)], Self::parse_mul)
     }
 
     fn parse_mul(&mut self) -> Result<Exp, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        while self.eat_sym("*") {
-            let rhs = self.parse_unary()?;
-            lhs = Exp::bin(lhs, BinOp::Mul, rhs);
+        self.parse_chain(&[("*", BinOp::Mul)], Self::parse_unary)
+    }
+
+    /// A left-associative chain `operand (op operand)*`; each link
+    /// deepens the tree by one, so it counts as a nesting level.
+    fn parse_chain(
+        &mut self,
+        ops: &[(&'static str, BinOp)],
+        operand: fn(&mut Self) -> Result<Exp, ParseError>,
+    ) -> Result<Exp, ParseError> {
+        let depth = self.depth;
+        let mut lhs = operand(self)?;
+        while let Some(&(_, op)) = ops
+            .iter()
+            .find(|(sym, _)| self.peek() == Some(&Tok::Sym(sym)))
+        {
+            self.bump();
+            self.nest()?;
+            let rhs = operand(self)?;
+            lhs = Exp::bin(lhs, op, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Exp, ParseError> {
         if self.eat_sym("!") {
-            return Ok(Exp::not(self.parse_unary()?));
+            return Ok(Exp::not(self.nested(Self::parse_unary)?));
         }
         self.parse_atom()
     }
@@ -517,6 +558,7 @@ pub fn parse_program(src: &str) -> Result<Prog, ParseError> {
     let mut p = Parser {
         lx: Lexer { toks, pos: 0 },
         vars: Vec::new(),
+        depth: 0,
     };
     p.parse_program()
 }
@@ -684,6 +726,28 @@ mod tests {
     }
 
     /// The parser returns errors — never panics — on arbitrary input.
+    /// Every way of deepening the syntax tree counts toward the cap:
+    /// within it a program parses, far past it is a positioned error
+    /// (not a stack overflow).
+    #[test]
+    fn nesting_is_capped() {
+        let prog = |body: String| format!("vars x;\nthread t {{ {body} }}");
+        let shapes: [fn(usize) -> String; 6] = [
+            |n| format!("r0 <- {}x{};", "(".repeat(n), ")".repeat(n)),
+            |n| format!("{}skip;{}", "if (x) { ".repeat(n), " }".repeat(n)),
+            |n| format!("r0 <- {}x;", "!".repeat(n)),
+            |n| format!("r0 <- x{};", " + 1".repeat(n)),
+            |n| "r0 <- x; ".repeat(n),
+            |n| format!("{}skip;", "1: ".repeat(n)),
+        ];
+        for shape in shapes {
+            assert!(parse_program(&prog(shape(MAX_DEPTH / 2 - 2))).is_ok());
+            let err = parse_program(&prog(shape(50_000))).unwrap_err();
+            assert!(err.msg.contains("nesting deeper than"), "{err}");
+            assert_eq!(err.line, 2);
+        }
+    }
+
     #[test]
     fn parser_never_panics_on_garbage() {
         let samples = [

@@ -1,13 +1,13 @@
 //! Evaluates litmus tests by exhaustive exploration under both models.
 //!
-//! The runner is parameterised by [`ExploreBackend`]s, so verdicts can be
-//! computed by the sequential reference engine or the parallel one
-//! ([`run_test`] defaults to sequential for determinism).
+//! The runner is parameterised by an [`AnyBackend`] handle, so verdicts
+//! can be computed by any engine × reduction pair ([`run_test`] defaults
+//! to the sequential reference engine for determinism).
 
 use crate::corpus::{Cond, LitmusTest, Verdict};
 use c11_core::config::Config;
 use c11_core::model::{RaModel, ScModel};
-use c11_explore::{ExploreBackend, ExploreConfig, SequentialBackend, Stats, SymClasses};
+use c11_explore::{AnyBackend, ExploreConfig, Stats, SymClasses};
 use c11_lang::{parse_program, Prog, RegId, ThreadId};
 use std::time::Instant;
 
@@ -125,27 +125,26 @@ pub fn outcome_holds_sc_orbit(
     })
 }
 
-/// Runs one test under both models with the given exploration backends
+/// Runs one test under both models with the given exploration backend
 /// and per-model exploration configs (callers that override the test's
 /// own event bound — e.g. the api crate's `CheckRequest::bounds` — pass
 /// their bounds here).
 pub fn run_test_configured(
     test: &LitmusTest,
-    ra_backend: &dyn ExploreBackend<RaModel>,
-    sc_backend: &dyn ExploreBackend<ScModel>,
+    backend: AnyBackend,
     cfg_ra: &ExploreConfig,
     cfg_sc: &ExploreConfig,
 ) -> LitmusResult {
     let prog = parse_program(&test.source).expect("corpus programs parse");
     let t0 = Instant::now();
-    let ra = ra_backend.run(&RaModel, &prog, cfg_ra);
+    let ra = backend.run(&RaModel, &prog, cfg_ra);
     let ra_stats = ra.stats(t0.elapsed());
     let observed_ra = ra
         .finals
         .iter()
         .any(|c| outcome_holds_ra_orbit(test, &prog, c, ra.sym_classes.as_ref()));
     let t0 = Instant::now();
-    let sc = sc_backend.run(&ScModel, &prog, cfg_sc);
+    let sc = backend.run(&ScModel, &prog, cfg_sc);
     let sc_stats = sc.stats(t0.elapsed());
     let observed_sc = sc
         .finals
@@ -165,23 +164,19 @@ pub fn run_test_configured(
     }
 }
 
-/// Runs one test under both models with the given backends, bounding RA
+/// Runs one test under both models with the given backend, bounding RA
 /// exploration at the test's own `max_events`.
-pub fn run_test_backend(
-    test: &LitmusTest,
-    ra_backend: &dyn ExploreBackend<RaModel>,
-    sc_backend: &dyn ExploreBackend<ScModel>,
-) -> LitmusResult {
+pub fn run_test_backend(test: &LitmusTest, backend: AnyBackend) -> LitmusResult {
     let cfg_ra = ExploreConfig::default()
         .max_events(test.max_events)
         .record_traces(false);
     let cfg_sc = ExploreConfig::default().record_traces(false);
-    run_test_configured(test, ra_backend, sc_backend, &cfg_ra, &cfg_sc)
+    run_test_configured(test, backend, &cfg_ra, &cfg_sc)
 }
 
 /// Runs one test under both models (sequential reference backend).
 pub fn run_test(test: &LitmusTest) -> LitmusResult {
-    run_test_backend(test, &SequentialBackend, &SequentialBackend)
+    run_test_backend(test, AnyBackend::sequential())
 }
 
 /// Runs the whole corpus.
@@ -217,7 +212,6 @@ pub fn render_table(results: &[LitmusResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c11_explore::ParallelBackend;
 
     #[test]
     fn mp_rlx_allows_stale_read() {
@@ -242,10 +236,9 @@ mod tests {
 
     #[test]
     fn parallel_backend_gives_same_verdicts() {
-        let par = ParallelBackend::new(2);
         for test in crate::corpus::corpus().iter().take(4) {
             let seq = run_test(test);
-            let p = run_test_backend(test, &par, &par);
+            let p = run_test_backend(test, AnyBackend::parallel(2));
             assert_eq!(p.observed_ra, seq.observed_ra, "{}", test.name);
             assert_eq!(p.observed_sc, seq.observed_sc, "{}", test.name);
             assert_eq!(p.pass, seq.pass, "{}", test.name);

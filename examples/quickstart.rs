@@ -1,5 +1,5 @@
 //! Quickstart: one front door for every question — build a
-//! [`CheckRequest`], pick a model/backend/mode, get a [`CheckReport`].
+//! [`CheckRequest`], pick a model/engine/mode, get a [`CheckReport`].
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -34,7 +34,7 @@ fn main() {
     for (name, src) in variants {
         let report = CheckRequest::program(src)
             .model(ModelChoice::Ra)
-            .backend(Backend::Parallel { workers: 2 })
+            .engine(Engine::Parallel { workers: 2 })
             .mode(Mode::Outcomes)
             .run()
             .expect("variant parses");

@@ -20,9 +20,8 @@
 //! request frame gets a report / `"error"` / `"overloaded"` frame, and
 //! a `{"stats": true}` frame gets the live session counters (with
 //! per-reduction exploration counts). Request documents carry the full
-//! `c11serve` schema, including the `engine` × `reduction` pair (plus
-//! the deprecated `backend` spelling) and the `store`
-//! (`"flat"`/`"sym"`/`"shared"`) and `symmetry` storage knobs. A frame
+//! `c11serve` schema, including the `engine` × `reduction` pair and the
+//! `store` (`"flat"`/`"sym"`/`"shared"`) and `symmetry` storage knobs. A frame
 //! that violates the protocol (oversized length, mid-frame truncation
 //! or stall) is answered once (best effort) and the connection closed —
 //! the stream cannot be resynchronised. Every accepted socket gets
@@ -36,10 +35,8 @@
 //! service outlives its worst client; startup failures exit 2.
 
 use c11_operational::api::json::Json;
-use c11_operational::api::net::{
-    self, error_line, overloaded_line, report_line, shutdown, stats_line, FrameIn,
-};
-use c11_operational::api::{CheckError, Session, SessionConfig};
+use c11_operational::api::net::{self, error_line, overloaded_line, shutdown, stats_line, FrameIn};
+use c11_operational::api::{Session, SessionConfig};
 use c11_operational::prelude::*;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -69,13 +66,7 @@ struct Opts {
     max_conns: usize,
     read_timeout: Duration,
     write_timeout: Duration,
-    cache_path: Option<String>,
-    workers: usize,
-    cache: bool,
-    auto_parallel: usize,
-    job_timeout_ms: Option<usize>,
-    cache_capacity: Option<usize>,
-    max_queue: Option<usize>,
+    session: SessionConfig,
 }
 
 fn parse_args() -> Result<Opts, String> {
@@ -85,13 +76,7 @@ fn parse_args() -> Result<Opts, String> {
         max_conns: 64,
         read_timeout: Duration::from_millis(1000),
         write_timeout: Duration::from_millis(5000),
-        cache_path: None,
-        workers: 2,
-        cache: true,
-        auto_parallel: 4,
-        job_timeout_ms: None,
-        cache_capacity: None,
-        max_queue: None,
+        session: SessionConfig::default().parallel_threshold(4),
     };
     let mut args = std::env::args().skip(1);
     let text = |args: &mut std::iter::Skip<std::env::Args>, flag: &str| {
@@ -103,6 +88,9 @@ fn parse_args() -> Result<Opts, String> {
             .map_err(|e| format!("bad {flag}: {e}"))
     };
     while let Some(a) = args.next() {
+        if opts.session.apply_flag(&a, &mut args)? {
+            continue;
+        }
         match a.as_str() {
             "--listen" => opts.listen = text(&mut args, "--listen")?,
             "--port-file" => opts.port_file = Some(text(&mut args, "--port-file")?),
@@ -115,25 +103,11 @@ fn parse_args() -> Result<Opts, String> {
                 opts.write_timeout =
                     Duration::from_millis(num(&mut args, "--write-timeout-ms")?.max(1) as u64);
             }
-            "--cache-path" => opts.cache_path = Some(text(&mut args, "--cache-path")?),
-            "--workers" => opts.workers = num(&mut args, "--workers")?,
-            "--no-cache" => opts.cache = false,
-            "--auto-parallel" => opts.auto_parallel = num(&mut args, "--auto-parallel")?,
-            "--job-timeout-ms" => opts.job_timeout_ms = Some(num(&mut args, "--job-timeout-ms")?),
-            "--cache-capacity" => opts.cache_capacity = Some(num(&mut args, "--cache-capacity")?),
-            "--max-queue" => opts.max_queue = Some(num(&mut args, "--max-queue")?),
             "-h" | "--help" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(opts)
-}
-
-/// The per-frame aggregates every connection folds into, summarised on
-/// drain exactly like `c11serve`'s batch line.
-#[derive(Default)]
-struct Tally {
-    stats: BatchStats,
 }
 
 /// Serves one connection: frames in, responses out, until EOF, a
@@ -142,7 +116,7 @@ fn serve_conn(
     mut conn: TcpStream,
     conn_no: usize,
     session: &Session,
-    tally: &Mutex<Tally>,
+    tally: &Mutex<BatchStats>,
     opts: &Opts,
 ) {
     let _ = conn.set_read_timeout(Some(opts.read_timeout));
@@ -159,11 +133,7 @@ fn serve_conn(
             Err(e) => {
                 // Protocol violation or I/O failure: one best-effort
                 // error frame, then close (the stream can't resync).
-                {
-                    let mut t = tally.lock().unwrap();
-                    t.stats.jobs += 1;
-                    t.stats.errors += 1;
-                }
+                tally.lock().unwrap().record_error();
                 let line = error_line(&format!("conn-{conn_no}-{}", frame_no + 1), &e);
                 let _ = net::write_frame(&mut conn, line.as_bytes());
                 return;
@@ -185,7 +155,7 @@ fn respond(
     conn_no: usize,
     frame_no: usize,
     session: &Session,
-    tally: &Mutex<Tally>,
+    tally: &Mutex<BatchStats>,
 ) -> String {
     let fallback_id = || format!("conn-{conn_no}-{frame_no}");
     let parsed = std::str::from_utf8(payload)
@@ -194,9 +164,7 @@ fn respond(
     let v = match parsed {
         Ok(v) => v,
         Err(msg) => {
-            let mut t = tally.lock().unwrap();
-            t.stats.jobs += 1;
-            t.stats.errors += 1;
+            tally.lock().unwrap().record_error();
             return error_line(&fallback_id(), &msg);
         }
     };
@@ -206,64 +174,24 @@ fn respond(
         .map(str::to_string)
         .unwrap_or_else(fallback_id);
     // Stats frames are observations, not jobs: no tally.
-    match net::stats_request(&v) {
+    let request = match net::stats_request(&v) {
         Some(Ok(())) => return stats_line(&id, &session.stats()),
-        Some(Err(msg)) => {
-            let mut t = tally.lock().unwrap();
-            t.stats.jobs += 1;
-            t.stats.errors += 1;
+        Some(Err(msg)) => Err(msg),
+        None => net::request_from_json(&v),
+    };
+    let req = match request {
+        Ok(req) => req,
+        Err(msg) => {
+            tally.lock().unwrap().record_error();
             return error_line(&id, &msg);
         }
-        None => {}
-    }
-    let submitted = net::request_from_json(&v).and_then(|req| {
-        session.submit(req).map_err(|e| match e {
-            CheckError::Overloaded => String::new(), // sentinel, handled below
-            other => other.to_string(),
-        })
-    });
-    let mut t = tally.lock().unwrap();
-    t.stats.jobs += 1;
-    match submitted {
-        Err(msg) if msg.is_empty() => {
-            t.stats.overloaded += 1;
-            overloaded_line(&id)
-        }
-        Err(msg) => {
-            t.stats.errors += 1;
-            error_line(&id, &msg)
-        }
-        Ok(job) => {
-            // Block this connection's thread on the result while other
-            // connections keep submitting — the pool under the session
-            // is the concurrency limit, not this wait.
-            drop(t);
-            let waited = session.wait(job);
-            let mut t = tally.lock().unwrap();
-            match waited {
-                Ok(report) => {
-                    t.stats.ok += 1;
-                    t.stats.cache_hits += usize::from(report.cache_hit());
-                    t.stats.interrupted += usize::from(report.interrupt().is_some());
-                    t.stats.explore = t.stats.explore.merged(&report.stats());
-                    if let CheckReport::Litmus(l) = &report {
-                        if !l.pass && report.interrupt().is_none() {
-                            t.stats.litmus_failed += 1;
-                        }
-                    }
-                    report_line(&id, &report)
-                }
-                Err(CheckError::Cancelled) => {
-                    t.stats.interrupted += 1;
-                    error_line(&id, "cancelled")
-                }
-                Err(e) => {
-                    t.stats.errors += 1;
-                    error_line(&id, &e.to_string())
-                }
-            }
-        }
-    }
+    };
+    // Block this connection's thread on the result while other
+    // connections keep submitting — the pool under the session is the
+    // concurrency limit, not this wait.
+    let result = session.submit(req).and_then(|job| session.wait(job));
+    tally.lock().unwrap().record(&result);
+    net::result_line(&id, &result)
 }
 
 /// Blocks until a connection is pending on `listener` or `timeout`
@@ -307,23 +235,7 @@ fn main() -> ExitCode {
         }
     };
     shutdown::install();
-    let mut cfg = SessionConfig::default()
-        .workers(opts.workers)
-        .cache(opts.cache)
-        .parallel_threshold(opts.auto_parallel);
-    if let Some(ms) = opts.job_timeout_ms {
-        cfg = cfg.job_timeout(Duration::from_millis(ms as u64));
-    }
-    if let Some(n) = opts.cache_capacity {
-        cfg = cfg.cache_capacity(n);
-    }
-    if let Some(n) = opts.max_queue {
-        cfg = cfg.max_queue_depth(n);
-    }
-    if let Some(path) = &opts.cache_path {
-        cfg = cfg.cache_path(path);
-    }
-    let session = Arc::new(Session::new(cfg));
+    let session = Arc::new(Session::new(opts.session.clone()));
     {
         let s = session.stats();
         if s.persist_loaded > 0 || s.persist_skipped > 0 {
@@ -362,7 +274,7 @@ fn main() -> ExitCode {
     eprintln!("c11netd listening on {local}");
 
     let opts = Arc::new(opts);
-    let tally = Arc::new(Mutex::new(Tally::default()));
+    let tally = Arc::new(Mutex::new(BatchStats::default()));
     let active = Arc::new(AtomicUsize::new(0));
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut conn_no = 0usize;
@@ -423,22 +335,11 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("cache snapshot failed: {e}"),
     }
 
-    let mut stats = std::mem::take(&mut tally.lock().unwrap().stats);
+    let mut stats = *tally.lock().unwrap();
     stats.wall_micros = t0.elapsed().as_micros();
-    let batch = BatchReport {
-        reports: Vec::new(),
-        stats,
-    };
-    let Json::Obj(mut pairs) = batch.summary_json() else {
-        unreachable!("summaries are objects");
-    };
-    pairs.push((
-        "explorations".to_string(),
-        Json::from(session.stats().explorations),
-    ));
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let _ = writeln!(out, "{}", Json::Obj(pairs).render());
+    let _ = writeln!(out, "{}", stats.summary_line(session.stats().explorations));
     let _ = out.flush();
     // A clean drain is success: per-frame client errors were already
     // answered to the clients that caused them.

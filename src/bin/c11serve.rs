@@ -33,7 +33,6 @@
 //! | `mode`         | `"outcomes"` (default) / `"count"` / `"litmus"` (litmus inputs' default) |
 //! | `engine`       | `"sequential"` (default) / `"parallel"`, or `{"kind":"parallel","workers":N}` |
 //! | `reduction`    | `"none"` (default) / `"sleep-set"` / `"source-set"`, or `{"kind":…,"contract":…}` |
-//! | `backend`      | deprecated single-axis spelling of the pair (`"dpor"` = sequential + sleep-set); rejected alongside `engine`/`reduction` |
 //! | `bounds`       | `{"max_events":N,"max_states":N,"max_depth":N}` (each optional) |
 //! | `store`        | `"flat"` (default) / `"sym"` / `"shared"` — visited-state store |
 //! | `symmetry`     | bool — quotient visited states by thread-permutation symmetry |
@@ -62,10 +61,8 @@
 //! are service conditions, not genuine errors, and do not fail it.
 
 use c11_operational::api::json::Json;
-use c11_operational::api::net::{
-    self, error_line, overloaded_line, report_line, shutdown, stats_line,
-};
-use c11_operational::api::{CheckError, Session, SessionConfig};
+use c11_operational::api::net::{self, error_line, shutdown, stats_line};
+use c11_operational::api::{CheckError, JobId, Session, SessionConfig};
 use c11_operational::prelude::*;
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
@@ -92,58 +89,29 @@ const USAGE: &str = "usage: c11serve [--workers N] [--no-cache] [--auto-parallel
 /// positioned error instead of buffering unboundedly.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-struct Opts {
-    workers: usize,
-    cache: bool,
-    auto_parallel: usize,
-    job_timeout_ms: Option<usize>,
-    cache_capacity: Option<usize>,
-    max_queue: Option<usize>,
-    cache_path: Option<String>,
-}
-
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        workers: 2,
-        cache: true,
-        auto_parallel: 4,
-        job_timeout_ms: None,
-        cache_capacity: None,
-        max_queue: None,
-        cache_path: None,
-    };
+/// Every flag is a session flag; the defaults are two workers, the
+/// cache on, and the parallel upgrade at 4 threads.
+fn parse_args() -> Result<SessionConfig, String> {
+    let mut cfg = SessionConfig::default().parallel_threshold(4);
     let mut args = std::env::args().skip(1);
-    let num = |args: &mut std::iter::Skip<std::env::Args>, flag: &str| {
-        args.next()
-            .ok_or(format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|e| format!("bad {flag}: {e}"))
-    };
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--no-cache" => opts.cache = false,
-            "--workers" => opts.workers = num(&mut args, "--workers")?,
-            "--auto-parallel" => opts.auto_parallel = num(&mut args, "--auto-parallel")?,
-            "--job-timeout-ms" => opts.job_timeout_ms = Some(num(&mut args, "--job-timeout-ms")?),
-            "--cache-capacity" => opts.cache_capacity = Some(num(&mut args, "--cache-capacity")?),
-            "--max-queue" => opts.max_queue = Some(num(&mut args, "--max-queue")?),
-            "--cache-path" => {
-                opts.cache_path = Some(args.next().ok_or("--cache-path needs a value")?);
-            }
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other:?}")),
+        if cfg.apply_flag(&a, &mut args)? {
+            continue;
         }
+        return Err(match a.as_str() {
+            "-h" | "--help" => USAGE.to_string(),
+            other => format!("unknown argument {other:?}"),
+        });
     }
-    Ok(opts)
+    Ok(cfg)
 }
 
-/// One unit flowing from the reader to the writer: a submitted job, a
-/// backpressure rejection, a line-level error, or a stats-control
-/// answer, with the id to echo. The request parsing and response
-/// rendering themselves live in `c11_api::net`, shared with `c11netd`.
+/// One unit flowing from the reader to the writer: a submission (or its
+/// rejection), a line-level error, or a stats-control answer, with the
+/// id to echo. The request parsing, response rendering and tally
+/// themselves live in `c11_api`, shared with `c11netd`.
 enum Item {
-    Job(String, c11_operational::api::JobId),
-    Overloaded(String),
+    Job(String, Result<JobId, CheckError>),
     LineError(String, String),
     /// A `{"stats": true}` control line: answered in stream order with
     /// the then-current counters, not counted as a job.
@@ -214,8 +182,8 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Line {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let cfg = match parse_args() {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
@@ -224,22 +192,6 @@ fn main() -> ExitCode {
     // SIGTERM and SIGINT both request the same graceful drain: stop
     // reading, finish in-flight jobs, snapshot the cache, summarise.
     shutdown::install();
-    let mut cfg = SessionConfig::default()
-        .workers(opts.workers)
-        .cache(opts.cache)
-        .parallel_threshold(opts.auto_parallel);
-    if let Some(ms) = opts.job_timeout_ms {
-        cfg = cfg.job_timeout(std::time::Duration::from_millis(ms as u64));
-    }
-    if let Some(n) = opts.cache_capacity {
-        cfg = cfg.cache_capacity(n);
-    }
-    if let Some(n) = opts.max_queue {
-        cfg = cfg.max_queue_depth(n);
-    }
-    if let Some(path) = &opts.cache_path {
-        cfg = cfg.cache_path(path);
-    }
     let session = std::sync::Arc::new(Session::new(cfg));
     let (tx, rx) = mpsc::channel::<Item>();
 
@@ -264,41 +216,17 @@ fn main() -> ExitCode {
                     let _ = out.flush();
                     continue;
                 }
-                stats.jobs += 1;
                 let line = match item {
                     Item::Stats(_) => unreachable!("handled above"),
                     Item::LineError(id, msg) => {
-                        stats.errors += 1;
+                        stats.record_error();
                         error_line(&id, &msg)
                     }
-                    Item::Overloaded(id) => {
-                        stats.overloaded += 1;
-                        overloaded_line(&id)
+                    Item::Job(id, submitted) => {
+                        let result = submitted.and_then(|job| session.wait(job));
+                        stats.record(&result);
+                        net::result_line(&id, &result)
                     }
-                    Item::Job(id, job) => match session.wait(job) {
-                        Ok(report) => {
-                            stats.ok += 1;
-                            stats.cache_hits += usize::from(report.cache_hit());
-                            stats.interrupted += usize::from(report.interrupt().is_some());
-                            stats.explore = stats.explore.merged(&report.stats());
-                            if let CheckReport::Litmus(l) = &report {
-                                // A deadline-hit verdict never finished;
-                                // don't count it as a litmus failure.
-                                if !l.pass && report.interrupt().is_none() {
-                                    stats.litmus_failed += 1;
-                                }
-                            }
-                            report_line(&id, &report)
-                        }
-                        Err(CheckError::Cancelled) => {
-                            stats.interrupted += 1;
-                            error_line(&id, "cancelled")
-                        }
-                        Err(e) => {
-                            stats.errors += 1;
-                            error_line(&id, &e.to_string())
-                        }
-                    },
                 };
                 let mut out = stdout.lock();
                 let _ = writeln!(out, "{line}");
@@ -352,11 +280,7 @@ fn main() -> ExitCode {
                             Some(Ok(())) => Item::Stats(id),
                             Some(Err(msg)) => Item::LineError(id, msg),
                             None => match net::request_from_json(&v) {
-                                Ok(req) => match session.submit(req) {
-                                    Ok(job) => Item::Job(id, job),
-                                    Err(CheckError::Overloaded) => Item::Overloaded(id),
-                                    Err(e) => Item::LineError(id, e.to_string()),
-                                },
+                                Ok(req) => Item::Job(id, session.submit(req)),
                                 Err(msg) => Item::LineError(id, msg),
                             },
                         }
@@ -375,21 +299,8 @@ fn main() -> ExitCode {
         eprintln!("cache snapshot failed: {e}");
     }
 
-    // Final batch-summary line: the canonical `BatchReport::summary_json`
-    // document, extended with the session-level `explorations` counter.
-    let batch = BatchReport {
-        reports: Vec::new(),
-        stats,
-    };
-    let Json::Obj(mut pairs) = batch.summary_json() else {
-        unreachable!("summaries are objects");
-    };
-    pairs.push((
-        "explorations".to_string(),
-        Json::from(session.stats().explorations),
-    ));
-    println!("{}", Json::Obj(pairs).render());
-    if batch.all_ok() {
+    println!("{}", stats.summary_line(session.stats().explorations));
+    if stats.all_ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -26,8 +26,9 @@
 //! * [`explore`] — exhaustive model checkers over configurations: the
 //!   sequential reference engine and the work-stealing parallel engine
 //!   ([`prelude::Engine`]), optionally composed with a partial-order
-//!   reduction ([`prelude::Reduction`]: sleep-set or source-set DPOR),
-//!   behind one [`explore::ExploreBackend`] trait.
+//!   reduction ([`prelude::Reduction`]: the sleep-set filter in the
+//!   sequential search, or source-set DPOR), dispatched through one
+//!   [`explore::AnyBackend`] handle.
 //! * [`verify`] — determinate-value / variable-ordering assertions and the
 //!   Figure-4 rule engine (paper §5), with the Peterson and message-passing
 //!   proofs.
@@ -85,9 +86,9 @@ pub use c11_verify as verify;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use c11_api::{
-        Backend, BatchReport, BatchRequest, BatchStats, Bounds, CheckError, CheckReport,
-        CheckRequest, ConfigView, Engine, Invariant, JobId, Meta, Mode, ModelChoice, OutcomeRow,
-        ProgramInput, Reduction, Session, SessionConfig, SessionStats,
+        BatchReport, BatchRequest, BatchStats, Bounds, CheckError, CheckReport, CheckRequest,
+        ConfigView, Engine, Invariant, JobId, Meta, Mode, ModelChoice, OutcomeRow, ProgramInput,
+        Reduction, Session, SessionConfig, SessionStats,
     };
     pub use c11_axiomatic::axioms::{check_validity, is_valid, Axiom, Violation};
     pub use c11_core::event::{Event, EventId};
@@ -95,8 +96,8 @@ pub mod prelude {
     pub use c11_core::state::C11State;
     pub use c11_core::{Action, ThreadId};
     pub use c11_explore::{
-        Budget, DporBackend, ExploreBackend, ExploreConfig, Explorer, Interrupt, ParallelBackend,
-        RegSnapshot, SequentialBackend, Stats, StoreKind, StoreStats, SymClasses,
+        AnyBackend, Budget, ExploreConfig, Explorer, Interrupt, RegSnapshot, Stats, StoreKind,
+        StoreStats, SymClasses,
     };
     pub use c11_lang::ast::{BinOp, Com, Exp, Prog, RegId, Val, VarId};
     pub use c11_lang::parser::parse_program;

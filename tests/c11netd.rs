@@ -225,6 +225,37 @@ fn the_connection_cap_answers_overloaded_and_closes() {
     assert_eq!(s(&recv_frame(&mut first), "id"), Some("b"));
 }
 
+/// Programs nested far past the parser's cap, about 100 KB each:
+/// parentheses, `if`s inside `if`s and a `!` chain.
+fn nested_programs() -> [String; 3] {
+    let prog = |body: String| format!("vars x; thread t {{ {body} }}");
+    let (n, m) = (50_000, 10_000);
+    [
+        prog(format!("r0 <- {}1{};", "(".repeat(n), ")".repeat(n))),
+        prog(format!("{}skip;{}", "if (1) { ".repeat(m), " }".repeat(m))),
+        prog(format!("r0 <- {}1;", "!".repeat(2 * n))),
+    ]
+}
+
+/// A deeply nested program is answered with an error frame instead of
+/// overflowing a worker's stack, and the connection keeps serving.
+#[test]
+fn deeply_nested_programs_get_error_frames_and_the_connection_continues() {
+    let server = Server::start("nested", &[]);
+    let mut conn = server.connect();
+    for prog in nested_programs() {
+        send_frame(&mut conn, &format!("{{\"program\":\"{prog}\"}}"));
+        let err = recv_frame(&mut conn);
+        assert_eq!(s(&err, "status"), Some("error"), "{err:?}");
+        assert!(s(&err, "error").unwrap().contains("nesting deeper than"));
+        send_frame(
+            &mut conn,
+            "{\"id\":\"next\",\"program\":\"vars x; thread t { x := 1; }\"}",
+        );
+        assert_eq!(s(&recv_frame(&mut conn), "status"), Some("ok"));
+    }
+}
+
 #[test]
 fn malformed_payloads_get_error_frames_and_framing_errors_close_the_connection() {
     let server = Server::start("malformed", &["--workers", "1"]);

@@ -47,7 +47,7 @@ fn clean_stream_round_trips_in_order_with_cache_hits() {
             "{{\"id\":\"sb-again\",\"program\":\"{sb}\",\"traces\":true}}\n",
             "{{\"id\":\"mp\",\"litmus_path\":\"litmus/mp_ra.litmus\"}}\n",
             "{{\"id\":\"count\",\"program\":\"vars x; thread t {{ x := 1; }}\",",
-            "\"mode\":\"count\",\"backend\":{{\"kind\":\"parallel\",\"workers\":2}}}}\n",
+            "\"mode\":\"count\",\"engine\":{{\"kind\":\"parallel\",\"workers\":2}}}}\n",
         ),
         sb = SB
     );
@@ -187,25 +187,26 @@ fn litmus_corpus_streams_through_the_service() {
     );
 }
 
-/// The sleep-set reduction over the request-line surface, the new
-/// `"reduction"` key and the legacy `"backend":"dpor"` shim alike: first
-/// submission computes, resubmission in the same stream is a cache hit
-/// (an exhaustive-contract reduction does not split the cache key), and
-/// unknown names are rejected.
+/// The sleep-set reduction over the request-line surface, as a string
+/// and as an object: first submission computes, resubmission in the
+/// same stream is a cache hit (an exhaustive-contract reduction does
+/// not split the cache key), and unknown names are rejected — as is the
+/// removed single-axis `"backend"` key.
 #[test]
 fn dpor_backend_requests_compute_cold_and_hit_warm() {
     let input = concat!(
         "{\"id\":\"cold\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"reduction\":\"sleep-set\"}\n",
-        "{\"id\":\"warm\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"backend\":\"dpor\"}\n",
+        "{\"id\":\"warm\",\"litmus_path\":\"litmus/mp_ra.litmus\",",
+        "\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}}\n",
         "{\"id\":\"obj\",\"program\":\"vars x; thread t { x := 1; }\",",
         "\"reduction\":{\"kind\":\"sleep-set\"}}\n",
         "{\"id\":\"bad\",\"program\":\"vars x; thread t { x := 1; }\",",
-        "\"backend\":\"warp-drive\"}\n",
-        "{\"id\":\"mix\",\"program\":\"vars x; thread t { x := 1; }\",",
-        "\"backend\":\"dpor\",\"reduction\":\"none\"}\n",
+        "\"reduction\":\"warp-drive\"}\n",
+        "{\"id\":\"gone\",\"program\":\"vars x; thread t { x := 1; }\",",
+        "\"backend\":\"dpor\"}\n",
     );
     let (ok, lines) = run_c11serve(&[], input);
-    assert!(!ok, "the bad backend line must fail the exit code");
+    assert!(!ok, "the bad reduction line must fail the exit code");
     assert_eq!(lines.len(), 6, "5 reports + summary: {lines:?}");
 
     let hit = |v: &Json| v.get("cache_hit").and_then(Json::as_bool);
@@ -215,7 +216,7 @@ fn dpor_backend_requests_compute_cold_and_hit_warm() {
     assert_eq!(
         hit(&lines[1]),
         Some(true),
-        "legacy-spelled resubmission hits the same cache entry"
+        "object-spelled resubmission hits the same cache entry"
     );
     for line in &lines[..2] {
         assert_eq!(s(line, "status"), Some("ok"));
@@ -242,16 +243,52 @@ fn dpor_backend_requests_compute_cold_and_hit_warm() {
     );
     assert_eq!(s(&lines[3], "status"), Some("error"));
     assert!(
-        s(&lines[3], "error").unwrap().contains("dpor"),
-        "the error names the valid backends: {:?}",
+        s(&lines[3], "error").unwrap().contains("sleep-set"),
+        "the error names the valid reductions: {:?}",
         lines[3]
     );
     assert_eq!(s(&lines[4], "status"), Some("error"));
     assert!(
-        s(&lines[4], "error").unwrap().contains("legacy"),
-        "backend + reduction must be rejected as a legacy clash: {:?}",
+        s(&lines[4], "error")
+            .unwrap()
+            .contains("unknown key \"backend\""),
+        "the single-axis spelling is gone: {:?}",
         lines[4]
     );
+}
+
+/// Programs nested far past the parser's cap, about 100 KB each:
+/// parentheses, `if`s inside `if`s and a `!` chain.
+fn nested_programs() -> [String; 3] {
+    let prog = |body: String| format!("vars x; thread t {{ {body} }}");
+    let (n, m) = (50_000, 10_000);
+    [
+        prog(format!("r0 <- {}1{};", "(".repeat(n), ")".repeat(n))),
+        prog(format!("{}skip;{}", "if (1) { ".repeat(m), " }".repeat(m))),
+        prog(format!("r0 <- {}1;", "!".repeat(2 * n))),
+    ]
+}
+
+/// A deeply nested program is answered with a positioned error instead
+/// of overflowing a worker's stack, and the request after it is still
+/// answered.
+#[test]
+fn deeply_nested_programs_get_an_error_and_the_stream_continues() {
+    let mut input = String::new();
+    for prog in nested_programs() {
+        input += &format!("{{\"id\":\"deep\",\"program\":\"{prog}\"}}\n");
+        input += "{\"id\":\"next\",\"program\":\"vars x; thread t { x := 1; }\"}\n";
+    }
+    let (ok, lines) = run_c11serve(&[], &input);
+    assert!(!ok, "nesting errors fail the exit code");
+    assert_eq!(lines.len(), 7, "6 answers + summary: {lines:?}");
+    for pair in lines[..6].chunks(2) {
+        assert_eq!(s(&pair[0], "status"), Some("error"), "{:?}", pair[0]);
+        assert!(s(&pair[0], "error")
+            .unwrap()
+            .contains("nesting deeper than"));
+        assert_eq!(s(&pair[1], "status"), Some("ok"), "{:?}", pair[1]);
+    }
 }
 
 /// An oversized request line is answered with a positioned error — and
@@ -314,8 +351,8 @@ fn tiny_timeouts_yield_timed_out_reports_not_errors() {
     let input = format!(
         concat!(
             "{{\"id\":\"seq\",\"program\":\"{p}\",\"timeout_ms\":0}}\n",
-            "{{\"id\":\"par\",\"program\":\"{p}\",\"timeout_ms\":0,\"backend\":{{\"kind\":\"parallel\",\"workers\":4}}}}\n",
-            "{{\"id\":\"dpor\",\"program\":\"{p}\",\"timeout_ms\":0,\"backend\":\"dpor\"}}\n",
+            "{{\"id\":\"par\",\"program\":\"{p}\",\"timeout_ms\":0,\"engine\":{{\"kind\":\"parallel\",\"workers\":4}}}}\n",
+            "{{\"id\":\"dpor\",\"program\":\"{p}\",\"timeout_ms\":0,\"reduction\":\"sleep-set\"}}\n",
         ),
         p = contended
     );

@@ -5,21 +5,17 @@
 //! `CheckRequest` front door (modulo `wall_micros`/work counters, which
 //! is exactly where DPOR differs: strictly fewer generated states on
 //! programs with independent steps), and the `c11check` CLI surface
-//! (`--reduction sleep-set`, the deprecated `--backend dpor` shim,
-//! `--help` guidance, unknown-value rejection).
+//! (`--reduction sleep-set`, `--help` guidance, unknown-value rejection,
+//! and the removed `--backend` spelling).
 
 use c11_operational::explore::{explore_dpor, Stats};
 use c11_operational::litmus::{corpus, LitmusTest};
 use c11_operational::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
-fn multiset(snaps: Vec<RegSnapshot>) -> HashMap<RegSnapshot, usize> {
-    let mut m = HashMap::new();
-    for s in snaps {
-        *m.entry(s).or_insert(0) += 1;
-    }
-    m
+fn multiset(mut snaps: Vec<RegSnapshot>) -> Vec<RegSnapshot> {
+    snaps.sort();
+    snaps
 }
 
 /// Raw-engine equality on one program under one config: every state,
@@ -192,22 +188,6 @@ fn check_request_reports_byte_identical_across_backends_on_corpus() {
     }
 }
 
-/// The legacy `Backend` enum keeps working for one deprecation cycle:
-/// `Backend::Dpor` decomposes to the sequential engine + sleep-set
-/// reduction, and the `.backend(..)` sugar routes through the new axes.
-#[test]
-#[allow(deprecated)]
-fn legacy_backend_dpor_still_resolves_through_the_new_axes() {
-    assert_eq!(Backend::Dpor.engine(), Engine::Sequential);
-    assert_eq!(Backend::Dpor.reduction(), Reduction::SleepSet);
-    let report = CheckRequest::program("vars x; thread t1 { x := 1; } thread t2 { x := 2; }")
-        .backend(Backend::Dpor)
-        .run()
-        .unwrap();
-    assert_eq!(report.meta().engine, Engine::Sequential);
-    assert_eq!(report.meta().reduction, Reduction::SleepSet);
-}
-
 /// The `max_states` safety cap is the one bound outside the identical-
 /// reports contract (the kept prefix is exploration-order-dependent,
 /// for the parallel engine too): both engines must still agree that the
@@ -378,7 +358,8 @@ proptest! {
 mod cli {
     use std::process::Command;
 
-    fn c11check(args: &[&str]) -> (bool, String, String) {
+    /// Runs `c11check` with `args`: (exit code, stdout, stderr).
+    fn c11check(args: &[&str]) -> (Option<i32>, String, String) {
         let out = Command::new(env!("CARGO"))
             .args(["run", "--quiet", "--bin", "c11check", "--"])
             .args(args)
@@ -386,29 +367,25 @@ mod cli {
             .output()
             .expect("spawn cargo run c11check");
         (
-            out.status.success(),
+            out.status.code(),
             String::from_utf8_lossy(&out.stdout).into_owned(),
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     }
 
     /// `--help` exits 0 and names every engine and reduction with
-    /// guidance (plus the deprecated --backend spelling).
+    /// guidance.
     #[test]
     fn help_lists_all_backends_with_guidance() {
-        let (ok, stdout, _) = c11check(&["--help"]);
-        assert!(ok, "--help must exit 0");
-        for name in [
-            "sequential",
-            "parallel",
-            "none",
-            "sleep-set",
-            "source-set",
-            "--backend",
-            "deprecated",
-        ] {
+        let (code, stdout, _) = c11check(&["--help"]);
+        assert_eq!(code, Some(0), "--help must exit 0");
+        for name in ["sequential", "parallel", "none", "sleep-set", "source-set"] {
             assert!(stdout.contains(name), "--help must mention {name}");
         }
+        assert!(
+            !stdout.contains("--backend"),
+            "the removed spelling is not advertised:\n{stdout}"
+        );
         assert!(
             stdout.contains("fewer generated states"),
             "sleep-set guidance line missing:\n{stdout}"
@@ -419,60 +396,38 @@ mod cli {
         );
     }
 
-    /// Unknown values are rejected with the valid set in the error, for
-    /// both new flags and the legacy one.
+    /// Unknown values are rejected with the valid set in the error, and
+    /// the removed `--backend` flag is a usage error (exit 2).
     #[test]
     fn unknown_backend_is_rejected_with_the_valid_set() {
-        let (ok, _, stderr) = c11check(&["--backend", "bogus", "litmus/mp_ra.litmus"]);
-        assert!(!ok, "unknown backend must fail");
-        assert!(stderr.contains("bogus"), "error names the offender");
-        assert!(
-            stderr.contains("sequential, parallel, dpor"),
-            "error lists the valid set:\n{stderr}"
-        );
-        let (ok, _, stderr) = c11check(&["--engine", "dpor", "litmus/mp_ra.litmus"]);
-        assert!(!ok, "dpor is a reduction, not an engine");
+        let (code, _, stderr) = c11check(&["--backend", "dpor", "litmus/mp_ra.litmus"]);
+        assert_eq!(code, Some(2), "--backend is gone: {stderr}");
+        assert!(stderr.contains("--backend"), "error names the offender");
+        let (code, _, stderr) = c11check(&["--engine", "dpor", "litmus/mp_ra.litmus"]);
+        assert_eq!(code, Some(2), "dpor is a reduction, not an engine");
         assert!(
             stderr.contains("sequential, parallel"),
             "error lists the valid engines:\n{stderr}"
         );
-        let (ok, _, stderr) = c11check(&["--reduction", "dpor", "litmus/mp_ra.litmus"]);
-        assert!(!ok, "dpor is not a reduction name");
+        let (code, _, stderr) = c11check(&["--reduction", "dpor", "litmus/mp_ra.litmus"]);
+        assert_eq!(code, Some(2), "dpor is not a reduction name");
         assert!(
             stderr.contains("none, sleep-set, source-set"),
             "error lists the valid reductions:\n{stderr}"
         );
-        let (ok, _, stderr) = c11check(&[
-            "--backend",
-            "dpor",
-            "--reduction",
-            "none",
-            "litmus/mp_ra.litmus",
-        ]);
-        assert!(!ok, "legacy and new flags must not combine");
-        assert!(stderr.contains("legacy"), "error says why:\n{stderr}");
     }
 
     /// The CLI end to end on the sleep-set reduction: litmus dir mode
-    /// passes and stamps the reduction into the JSON report — via the
-    /// new flag and via the deprecated `--backend dpor` shim alike.
+    /// passes and stamps the reduction into the JSON report.
     #[test]
     fn litmus_dir_mode_runs_on_dpor() {
-        for flags in [
-            &["--reduction", "sleep-set"] as &[&str],
-            &["--backend", "dpor"],
-        ] {
-            let args: Vec<&str> = ["--litmus", "litmus", "--json"]
-                .iter()
-                .chain(flags)
-                .copied()
-                .collect();
-            let (ok, stdout, stderr) = c11check(&args);
-            assert!(ok, "corpus must pass on sleep-set ({flags:?}): {stderr}");
-            assert!(stdout.contains("\"backend\":{\"kind\":\"sequential\"}"));
-            assert!(stdout
-                .contains("\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}"));
-            assert!(stdout.contains("\"failed\":0"));
-        }
+        let (code, stdout, stderr) =
+            c11check(&["--litmus", "litmus", "--json", "--reduction", "sleep-set"]);
+        assert_eq!(code, Some(0), "corpus must pass on sleep-set: {stderr}");
+        assert!(stdout.contains("\"backend\":{\"kind\":\"sequential\"}"));
+        assert!(
+            stdout.contains("\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}")
+        );
+        assert!(stdout.contains("\"failed\":0"));
     }
 }

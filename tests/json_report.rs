@@ -252,7 +252,7 @@ const SB: &str = "vars x y;
 #[test]
 fn outcomes_json_schema_is_stable() {
     let report = CheckRequest::program(SB)
-        .backend(Backend::Parallel { workers: 4 })
+        .engine(Engine::Parallel { workers: 4 })
         .traces(true)
         .run()
         .unwrap();

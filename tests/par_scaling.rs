@@ -12,16 +12,12 @@ use c11_operational::explore::{parallel_explore, parallel_explore_invariant, Sta
 use c11_operational::litmus::corpus;
 use c11_operational::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn multiset(snaps: Vec<RegSnapshot>) -> HashMap<RegSnapshot, usize> {
-    let mut m = HashMap::new();
-    for s in snaps {
-        *m.entry(s).or_insert(0) += 1;
-    }
-    m
+fn multiset(mut snaps: Vec<RegSnapshot>) -> Vec<RegSnapshot> {
+    snaps.sort();
+    snaps
 }
 
 /// Raw-engine equality on one program under one config, at every worker

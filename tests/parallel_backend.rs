@@ -6,17 +6,13 @@
 //! the `CheckRequest` front door (the acceptance bar for promoting the
 //! parallel explorer to a full backend).
 
-use c11_operational::explore::{parallel_explore, ExploreBackend, ParallelBackend};
+use c11_operational::explore::parallel_explore;
 use c11_operational::litmus::corpus;
 use c11_operational::prelude::*;
-use std::collections::HashMap;
 
-fn multiset(snaps: Vec<RegSnapshot>) -> HashMap<RegSnapshot, usize> {
-    let mut m = HashMap::new();
-    for s in snaps {
-        *m.entry(s).or_insert(0) += 1;
-    }
-    m
+fn multiset(mut snaps: Vec<RegSnapshot>) -> Vec<RegSnapshot> {
+    snaps.sort();
+    snaps
 }
 
 #[test]
@@ -46,13 +42,14 @@ fn parallel_full_results_match_sequential_on_corpus() {
 
 #[test]
 fn parallel_backend_trait_matches_for_sc_too() {
-    // The backend trait must agree for store-based models as well (their
-    // states do not grow, so dedup carries the termination argument).
+    // The backend dispatch must agree for store-based models as well
+    // (their states do not grow, so dedup carries the termination
+    // argument).
     for test in corpus().iter().take(6) {
         let prog = parse_program(&test.source).expect("corpus parses");
         let cfg = ExploreConfig::default();
-        let seq = SequentialBackend.run(&ScModel, &prog, &cfg);
-        let par = ParallelBackend::new(4).run(&ScModel, &prog, &cfg);
+        let seq = AnyBackend::sequential().run(&ScModel, &prog, &cfg);
+        let par = AnyBackend::parallel(4).run(&ScModel, &prog, &cfg);
         assert_eq!(par.unique, seq.unique, "{}", test.name);
         assert_eq!(
             multiset(par.final_snapshots()),
@@ -63,18 +60,17 @@ fn parallel_backend_trait_matches_for_sc_too() {
     }
 }
 
-/// The acceptance criterion, verbatim: `CheckRequest { backend:
-/// Parallel { workers: 4 }, mode: Outcomes }` over the litmus corpus
-/// yields final register snapshots identical (as multisets) to the
-/// sequential backend.
+/// The acceptance criterion: `CheckRequest { engine: Parallel { workers:
+/// 4 }, mode: Outcomes }` over the litmus corpus yields final register
+/// snapshots identical (as multisets) to the sequential engine.
 #[test]
 fn check_request_outcomes_identical_across_backends_on_corpus() {
     for test in corpus() {
         let name = test.name.clone();
-        let run = |backend: Backend| {
+        let run = |engine: Engine| {
             let report = CheckRequest::litmus(test.clone())
                 .mode(Mode::Outcomes)
-                .backend(backend)
+                .engine(engine)
                 .run()
                 .expect("corpus programs parse");
             let CheckReport::Outcomes(o) = report else {
@@ -82,8 +78,8 @@ fn check_request_outcomes_identical_across_backends_on_corpus() {
             };
             o
         };
-        let seq = run(Backend::Sequential);
-        let par = run(Backend::Parallel { workers: 4 });
+        let seq = run(Engine::Sequential);
+        let par = run(Engine::Parallel { workers: 4 });
         // Outcome rows are deterministically sorted multiset rows, so
         // equality is exact (counts included).
         assert_eq!(seq.outcomes, par.outcomes, "{name}: outcome rows");

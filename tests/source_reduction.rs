@@ -14,14 +14,10 @@ use c11_operational::explore::{explore_dpor, explore_source};
 use c11_operational::litmus::{corpus, LitmusTest};
 use c11_operational::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
-fn multiset(snaps: Vec<RegSnapshot>) -> HashMap<RegSnapshot, usize> {
-    let mut m = HashMap::new();
-    for s in snaps {
-        *m.entry(s).or_insert(0) += 1;
-    }
-    m
+fn multiset(mut snaps: Vec<RegSnapshot>) -> Vec<RegSnapshot> {
+    snaps.sort();
+    snaps
 }
 
 /// Raw-engine finals-only equality on one program under one config:

@@ -132,11 +132,11 @@ fn full_corpus() -> Vec<LitmusTest> {
     tests
 }
 
-fn backends() -> Vec<(&'static str, Box<dyn ExploreBackend<RaModel>>)> {
-    vec![
-        ("seq", Box::new(SequentialBackend)),
-        ("par4", Box::new(ParallelBackend::new(4))),
-        ("dpor", Box::new(DporBackend)),
+fn backends() -> [AnyBackend; 3] {
+    [
+        AnyBackend::sequential(),
+        AnyBackend::parallel(4),
+        AnyBackend::sleep_set(),
     ]
 }
 
@@ -166,19 +166,14 @@ fn corpus_verdicts_agree_across_stores_and_backends() {
                 .record_traces(false)
                 .store(kind);
             let cfg_sc = ExploreConfig::default().record_traces(false).store(kind);
-            for (bname, backend) in backends() {
-                // The SC side reuses the same backend flavour.
-                let sc: Box<dyn ExploreBackend<ScModel>> = match bname {
-                    "seq" => Box::new(SequentialBackend),
-                    "par4" => Box::new(ParallelBackend::new(4)),
-                    _ => Box::new(DporBackend),
-                };
-                let r = run_test_configured(&test, backend.as_ref(), sc.as_ref(), &cfg_ra, &cfg_sc);
+            for backend in backends() {
+                let r = run_test_configured(&test, backend, &cfg_ra, &cfg_sc);
                 assert!(
                     r.pass,
-                    "{} under store={} backend={bname}: observed_ra={} observed_sc={}",
+                    "{} under store={} backend={}: observed_ra={} observed_sc={}",
                     test.name,
                     kind.name(),
+                    backend.name(),
                     r.observed_ra,
                     r.observed_sc
                 );
@@ -195,13 +190,14 @@ fn corpus_final_snapshots_agree_across_stores_and_backends() {
         let base = ExploreConfig::default()
             .max_events(test.max_events)
             .record_traces(false);
-        let reference = SequentialBackend.run(&RaModel, &prog, &base);
+        let reference = AnyBackend::sequential().run(&RaModel, &prog, &base);
         let mut flat_multiset: Vec<RegSnapshot> = reference.final_snapshots();
         flat_multiset.sort();
         let canonical = canon_finals(&reference, &classes);
         for kind in StoreKind::ALL {
             let cfg = base.clone().store(kind);
-            for (bname, backend) in backends() {
+            for backend in backends() {
+                let bname = backend.name();
                 let res = backend.run(&RaModel, &prog, &cfg);
                 assert_eq!(
                     canon_finals(&res, &classes),
@@ -244,17 +240,9 @@ fn shared_store_is_a_drop_in_under_truncating_bounds() {
         let base = ExploreConfig::default()
             .max_states(max_states)
             .record_traces(false);
-        let run = |kind: StoreKind, dpor: bool| {
-            let cfg = base.clone().store(kind);
-            if dpor {
-                DporBackend.run(&RaModel, &prog, &cfg)
-            } else {
-                SequentialBackend.run(&RaModel, &prog, &cfg)
-            }
-        };
-        for dpor in [false, true] {
-            let flat = run(StoreKind::Flat, dpor);
-            let shared = run(StoreKind::Shared, dpor);
+        for backend in [AnyBackend::sequential(), AnyBackend::sleep_set()] {
+            let flat = backend.run(&RaModel, &prog, &base.clone().store(StoreKind::Flat));
+            let shared = backend.run(&RaModel, &prog, &base.clone().store(StoreKind::Shared));
             assert!(flat.truncated, "the cap must actually bite");
             assert_eq!(flat.unique, shared.unique);
             assert_eq!(flat.generated, shared.generated);
@@ -286,8 +274,9 @@ fn symmetric_shapes_shrink_under_the_quotient() {
         let base = ExploreConfig::default()
             .max_events(test.max_events)
             .record_traces(false);
-        let flat = SequentialBackend.run(&RaModel, &prog, &base);
-        let sym = SequentialBackend.run(&RaModel, &prog, &base.clone().store(StoreKind::Sym));
+        let flat = AnyBackend::sequential().run(&RaModel, &prog, &base);
+        let sym =
+            AnyBackend::sequential().run(&RaModel, &prog, &base.clone().store(StoreKind::Sym));
         assert!(
             sym.unique < flat.unique,
             "{name}: quotient must shrink ({} vs {})",
