@@ -537,7 +537,7 @@ impl Resolved {
     pub(crate) fn fingerprint(&self) -> u128 {
         match &self.input {
             ResolvedInput::Program(p) => fingerprint_prog(p),
-            ResolvedInput::Litmus { test, prog } => combine128(&[
+            ResolvedInput::Litmus { test, prog } => combine128([
                 fingerprint_prog(prog),
                 hash128_of(&(&test.name, &test.outcome, test.expect_ra, test.expect_sc)),
             ]),

@@ -1,9 +1,20 @@
 //! Fixed-seed 128-bit fingerprints for exploration dedup keys.
 //!
-//! The explorer used to deduplicate configurations by cloning the whole
-//! `(coms, regs, CanonicalState)` tuple into a hash map. These helpers
-//! replace that with a 128-bit fingerprint: two independent 64-bit lanes,
-//! each a fixed-seed FNV-1a fold finished with a splitmix64 avalanche.
+//! The explorer deduplicates configurations by a 128-bit fingerprint
+//! instead of cloning the whole `(coms, regs, CanonicalState)` tuple into
+//! a hash map. Values are hashed with [`hash128_of`]: two independent
+//! 64-bit lanes, each a fixed-seed FNV-1a fold finished with a splitmix64
+//! avalanche, both fed from one walk of the value. Order-insensitive sets
+//! (a memory state's events and edges) go through [`SetFold`], whose
+//! per-record sums can be extended one record at a time.
+//!
+//! The key is built from parts that change independently. Each thread
+//! has a digest of its residual command and register file, and the
+//! memory state has its canonical fingerprint (see
+//! [`crate::state::C11State::fingerprint`]); [`combine128`] mixes them in
+//! thread order. A step changes one thread and appends at most one event,
+//! so the explorer rehashes that thread only, and the memory state folds
+//! in only the new event's records.
 //!
 //! Collision stance: keys are 128 bits, so two distinct canonical states
 //! colliding is a ~2⁻⁶⁴ event even after billions of states (birthday
@@ -12,6 +23,7 @@
 //! negligible probability and can never produce unsound "allowed"
 //! verdicts (a merged state was still reached by a real execution).
 
+use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 
 /// The splitmix64 finaliser: a cheap full-avalanche bijection on `u64`.
@@ -56,21 +68,52 @@ impl Hasher for SeededFnv {
     }
 }
 
-/// Hashes any `Hash` value into 128 bits via two differently-seeded lanes.
-pub fn hash128_of<T: Hash + ?Sized>(value: &T) -> u128 {
-    let mut lo = SeededFnv::new(0x243f_6a88_85a3_08d3); // π digits
-    let mut hi = SeededFnv::new(0x1319_8a2e_0370_7344);
-    value.hash(&mut lo);
-    value.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
+/// Both lanes of [`hash128_of`] in one `Hasher`: every byte updates
+/// both FNV states, so the value is walked once. Equal, lane for lane, to
+/// two [`SeededFnv`]s fed the same bytes.
+struct Fnv128 {
+    lo: SeededFnv,
+    hi: SeededFnv,
 }
 
-/// Mixes several 128-bit fingerprints (e.g. coms / regs / memory state)
-/// into one, order-sensitively.
-pub fn combine128(parts: &[u128]) -> u128 {
+impl Hasher for Fnv128 {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let (mut lo, mut hi) = (self.lo.state, self.hi.state);
+        for &b in bytes {
+            lo = (lo ^ b as u64).wrapping_mul(SeededFnv::PRIME);
+            hi = (hi ^ b as u64).wrapping_mul(SeededFnv::PRIME);
+        }
+        self.lo.state = lo;
+        self.hi.state = hi;
+    }
+
+    fn finish(&self) -> u64 {
+        self.lo.finish()
+    }
+}
+
+/// Hashes any `Hash` value into 128 bits via two differently-seeded lanes.
+pub fn hash128_of<T: Hash + ?Sized>(value: &T) -> u128 {
+    let mut h = Fnv128 {
+        lo: SeededFnv::new(0x243f_6a88_85a3_08d3), // π digits
+        hi: SeededFnv::new(0x1319_8a2e_0370_7344),
+    };
+    value.hash(&mut h);
+    ((h.hi.finish() as u128) << 64) | h.lo.finish() as u128
+}
+
+/// Mixes several 128-bit fingerprints (e.g. per-thread digests and a
+/// memory state) into one, order-sensitively.
+pub fn combine128<I>(parts: I) -> u128
+where
+    I: IntoIterator,
+    I::Item: Borrow<u128>,
+{
     let mut lo: u64 = 0x4528_21e6_38d0_1377;
     let mut hi: u64 = 0xbe54_66cf_34e9_0c6c;
-    for &p in parts {
+    for p in parts {
+        let p = *p.borrow();
         lo = splitmix64(lo ^ p as u64);
         hi = splitmix64(hi ^ (p >> 64) as u64);
     }
@@ -84,34 +127,38 @@ pub fn combine128(parts: &[u128]) -> u128 {
 /// share a fingerprint; any semantic difference (and any variable
 /// rename, which changes rendered traces and DOT output) separates them.
 pub fn fingerprint_prog(prog: &c11_lang::Prog) -> u128 {
-    combine128(&[
+    combine128([
         hash128_of(&prog.inits),
         hash128_of(&prog.var_names),
         hash128_of(&prog.threads),
     ])
 }
 
-/// An order-insensitive 128-bit accumulator for edge multisets: each
+/// An order-insensitive 128-bit accumulator for record multisets: each
 /// record is avalanche-mixed per lane and then folded in with wrapping
-/// addition, so permuting the insertion order cannot change the result.
-/// Used by [`crate::state::C11State::fingerprint`] to hash the permuted
-/// `sb`/`rf`/`mo` edge sets without sorting (hence without allocating).
-#[derive(Clone, Copy, Default)]
+/// addition, so permuting the insertion order cannot change the result,
+/// and a record can be added later without revisiting the others. Used
+/// by [`crate::state::C11State::fingerprint`] to hash a state's events
+/// and `sb`/`rf`/`mo` edges without sorting (hence without allocating).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SetFold {
     lo: u64,
     hi: u64,
 }
 
 impl SetFold {
-    /// Folds one record into both lanes.
+    /// Folds one two-word record into both lanes. The words are mixed
+    /// one after the other, never packed together, so no field of one
+    /// can bleed into the other; each lane mixes with its own seeds, so a
+    /// collision needs both 64-bit lanes to agree.
     #[inline]
-    pub fn absorb(&mut self, record: u64) {
+    pub fn absorb(&mut self, x: u64, y: u64) {
         self.lo = self
             .lo
-            .wrapping_add(splitmix64(record ^ 0x9216_d5d9_8979_fb1b));
+            .wrapping_add(splitmix64(splitmix64(x ^ 0x9216_d5d9_8979_fb1b) ^ y));
         self.hi = self
             .hi
-            .wrapping_add(splitmix64(record ^ 0xd131_0ba6_98df_b5ac));
+            .wrapping_add(splitmix64(splitmix64(x ^ 0xd131_0ba6_98df_b5ac) ^ y));
     }
 
     /// The accumulated 128-bit digest.
@@ -144,27 +191,54 @@ mod tests {
     }
 
     #[test]
+    fn hash128_and_program_fingerprints_are_pinned() {
+        // Literal values from the two-walk implementation: the session
+        // cache keys on `fingerprint_prog`, and persisted snapshots store
+        // those keys, so no change to the hasher may move a bit.
+        assert_eq!(
+            hash128_of(&(42u64, "c11", [1u32, 2, 3], true)),
+            0xa61d_661c_d11c_4d22_c8bd_3907_9faa_5721
+        );
+        // The release/acquire message-passing program of the quickstart.
+        let mp = c11_lang::parse_program(
+            "vars d f;
+             thread t1 { d := 5; f :=R 1; }
+             thread t2 { r0 <-A f; r1 <- d; }",
+        )
+        .unwrap();
+        assert_eq!(
+            fingerprint_prog(&mp),
+            0xa687_70d8_9e79_d99d_840e_480b_b46d_e05e
+        );
+    }
+
+    #[test]
     fn set_fold_is_order_insensitive() {
         let mut a = SetFold::default();
         let mut b = SetFold::default();
         for x in [3u64, 1, 4, 1, 5] {
-            a.absorb(x);
+            a.absorb(x, 7);
         }
         for x in [5u64, 1, 4, 3, 1] {
-            b.absorb(x);
+            b.absorb(x, 7);
         }
         assert_eq!(a.digest(), b.digest());
         let mut c = SetFold::default();
         for x in [3u64, 1, 4, 1] {
-            c.absorb(x);
+            c.absorb(x, 7);
         }
         assert_ne!(a.digest(), c.digest());
+        // The words are not interchangeable.
+        let (mut xy, mut yx) = (SetFold::default(), SetFold::default());
+        xy.absorb(1, 2);
+        yx.absorb(2, 1);
+        assert_ne!(xy.digest(), yx.digest());
     }
 
     #[test]
     fn combine_is_order_sensitive() {
-        assert_ne!(combine128(&[1, 2]), combine128(&[2, 1]));
-        assert_eq!(combine128(&[1, 2]), combine128(&[1, 2]));
+        assert_ne!(combine128([1, 2]), combine128([2, 1]));
+        assert_eq!(combine128([1, 2]), combine128([1, 2]));
     }
 
     #[test]

@@ -28,6 +28,58 @@ struct Derived {
     /// τ-steps share the parent's memory state, so caching it here turns
     /// the per-successor dedup hash of every silent step into a load.
     fp: OnceLock<u128>,
+    /// The record folds `fp` is digested from. Once populated, the RA
+    /// transition paths absorb each new event's records into it, so a
+    /// successor's fingerprint costs what its step added.
+    fold: OnceLock<Fold>,
+}
+
+/// The accumulators behind [`C11State::fingerprint`]: one record per
+/// event and one per `sb`/`rf`/`mo` edge, every event named by its
+/// coordinate `(tid, index within its thread)` (see [`coord`]). An
+/// appended event gets the next index of its thread and moves no other
+/// event, so the records of a state are also records of its successors.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Fold {
+    events: SetFold,
+    sb: SetFold,
+    rf: SetFold,
+    mo: SetFold,
+}
+
+impl Fold {
+    /// The fingerprint of a state of `n` events with these folds.
+    fn digest(&self, n: usize) -> u128 {
+        combine128([
+            n as u128,
+            self.events.digest(),
+            self.sb.digest(),
+            self.rf.digest(),
+            self.mo.digest(),
+        ])
+    }
+
+    /// Absorbs the record of event `ev` at coordinate `at`. The
+    /// coordinate, kind and variable share one exactly packed word
+    /// (40 + 8 + 8 bits); the two values share the other.
+    fn absorb_event(&mut self, at: u64, ev: &Event) {
+        let (kind, var, a, b) = match ev.action {
+            c11_lang::Action::Rd { var, val, acquire } => (1u64, var.0, val, acquire as Val),
+            c11_lang::Action::Wr { var, val, release } => (2u64, var.0, val, release as Val),
+            c11_lang::Action::Upd { var, old, new } => (3u64, var.0, old, new),
+        };
+        self.events.absorb(
+            at << 16 | kind << 8 | var as u64,
+            (a as u64) << 32 | b as u64,
+        );
+    }
+}
+
+/// The coordinate of the event at `index` within thread `tid`: the tid
+/// above an exact 32-bit index. A relation over 2³² events could not be
+/// allocated, so the index always fits.
+fn coord(tid: u8, index: usize) -> u64 {
+    (tid as u64) << 32 | u32::try_from(index).expect("fewer than 2^32 events per thread") as u64
 }
 
 /// A C11 state: events with sequenced-before, reads-from and modification
@@ -389,7 +441,8 @@ impl C11State {
     ///
     /// Populated derived-relation caches are carried over and updated
     /// incrementally: the new `sb` edges all point *into* the fresh sink
-    /// `e`, so `hb` absorbs one star and `eco` is untouched.
+    /// `e`, so `hb` absorbs one star and `eco` is untouched. A populated
+    /// fingerprint fold absorbs `e` and its `sb` edges.
     pub fn append_event(&self, ev: Event) -> (C11State, EventId) {
         let mut next = self.clone();
         let e = next.events.len();
@@ -406,6 +459,14 @@ impl C11State {
             }
         }
         next.index_event(e);
+        if let Some(mut fold) = next.derived.fold.get().copied() {
+            let at = next.coord_of(e);
+            fold.absorb_event(at, &ev);
+            for p in sb_preds.iter() {
+                fold.sb.absorb(next.coord_of(p), at);
+            }
+            next.derived.fold = OnceLock::from(fold);
+        }
         next.derived_update(e, None, Some((sb_preds, BitSet::new())));
         (next, e)
     }
@@ -414,8 +475,12 @@ impl C11State {
     /// update — maintaining the derived-relation caches incrementally:
     /// `eco` gains the `rf` edge plus the induced from-read edges
     /// `{e} × mo[w]`, and `hb` gains the synchronises-with edge when the
-    /// pair is release/acquire. All of these are incident to `e`.
+    /// pair is release/acquire. All of these are incident to `e`. A
+    /// populated fingerprint fold absorbs the edge if it is new.
     pub fn rf_add(&mut self, w: EventId, e: EventId) {
+        if !self.rf.contains(w, e) {
+            self.fold_edge(|f| &mut f.rf, w, e);
+        }
         self.rf.add(w, e);
         let mut preds = BitSet::with_capacity(self.len());
         preds.insert(w);
@@ -458,17 +523,24 @@ impl C11State {
     /// now read-before `e`) are all incident to `e`. The one shape that
     /// is not — `e` already having readers of its own — falls back to
     /// invalidation (it never arises in the transition rules, where `e`
-    /// is freshly appended).
+    /// is freshly appended). A populated fingerprint fold absorbs each
+    /// `mo` edge that was not already present.
     pub fn mo_insert_after(&mut self, w: EventId, e: EventId) {
         let before: Vec<EventId> = std::iter::once(w)
             .chain(self.mo.preimage(w).collect::<Vec<_>>())
             .collect();
         let after: Vec<EventId> = self.mo.image(w).collect();
         for &b in &before {
-            self.mo.add(b, e);
+            if !self.mo.contains(b, e) {
+                self.fold_edge(|f| &mut f.mo, b, e);
+                self.mo.add(b, e);
+            }
         }
         for &a in &after {
-            self.mo.add(e, a);
+            if !self.mo.contains(e, a) {
+                self.fold_edge(|f| &mut f.mo, e, a);
+                self.mo.add(e, a);
+            }
         }
         if self.rf.image(e).next().is_some() {
             self.invalidate();
@@ -556,156 +628,102 @@ impl C11State {
         }
     }
 
-    /// A 128-bit canonical fingerprint: the same renumbering as
-    /// [`C11State::canonical`] — events sorted by `(tid, per-thread
-    /// order)`, relations permuted accordingly — but hashed on the fly
-    /// instead of materialised. The permutation comes from a counting
-    /// sort over thread ids (stack-allocated for the sizes exploration
-    /// reaches) and the permuted edge sets are folded with an
-    /// order-insensitive accumulator, so no sorting and no per-state edge
+    /// A 128-bit canonical fingerprint, invariant under the order in
+    /// which independent events entered the arena, like
+    /// [`C11State::canonical`]. Every event is named by its coordinate
+    /// `(tid, index within its thread)`, well-defined because `sb|_t` is
+    /// total and the arena preserves per-thread order. The state hashes
+    /// to four order-insensitive folds ([`SetFold`]): one record per
+    /// event (coordinate and action) and one per `sb`, `rf` and `mo` edge
+    /// (the coordinates of its ends). No sorting and no per-state edge
     /// vectors are needed. Two states with equal [`CanonicalState`]s get
     /// equal fingerprints; the converse holds up to 128-bit hash
     /// collisions (see [`crate::fingerprint`] for the collision stance).
     ///
     /// Cached per state: τ-successors share the parent's memory state
     /// (structurally, behind an `Arc`), so every silent step's dedup
-    /// fingerprint after the first is a load. Mutations clear the cache.
+    /// fingerprint after the first is a load. The folds are cached too,
+    /// and an appended event never moves another event's coordinate, so
+    /// the transition rules ([`C11State::append_event`],
+    /// [`C11State::rf_add`], [`C11State::mo_insert_after`]) absorb only
+    /// the records they add: a successor of a fingerprinted state pays
+    /// for its new event and edges, not for the whole state. The
+    /// arbitrary-mutation escape hatches drop both caches.
     pub fn fingerprint(&self) -> u128 {
-        *self.derived.fp.get_or_init(|| self.fingerprint_uncached())
-    }
-
-    fn fingerprint_uncached(&self) -> u128 {
-        let n = self.len();
-        let mut stack = [0usize; 128];
-        let mut heap = Vec::new();
-        let perm: &mut [usize] = if n <= 128 {
-            &mut stack[..n]
-        } else {
-            heap.resize(n, 0);
-            &mut heap[..]
-        };
-        // Counting sort by tid: new id = rank under (tid, arena order).
-        let mut start = [0usize; 257];
-        for ev in &self.events {
-            start[ev.tid.0 as usize + 1] += 1;
-        }
-        for i in 1..257 {
-            start[i] += start[i - 1];
-        }
-        for (old, ev) in self.events.iter().enumerate() {
-            let slot = &mut start[ev.tid.0 as usize];
-            perm[old] = *slot;
-            *slot += 1;
-        }
-        // Events: position-tagged records folded order-insensitively
-        // (the canonical position is baked into each record, so the fold
-        // still distinguishes orderings).
-        let mut events = SetFold::default();
-        for (old, ev) in self.events.iter().enumerate() {
-            let (kind, var, a, b) = match ev.action {
-                c11_lang::Action::Rd { var, val, acquire } => {
-                    (1u64, var.0, val as u64, acquire as u64)
-                }
-                c11_lang::Action::Wr { var, val, release } => {
-                    (2u64, var.0, val as u64, release as u64)
-                }
-                c11_lang::Action::Upd { var, old, new } => (3u64, var.0, old as u64, new as u64),
-            };
-            // `a` / `b` are full u32 values (e.g. an update's old/new), so
-            // they are avalanche-mixed with distinct asymmetric constants
-            // rather than packed into the structured head word — packing
-            // would bleed values ≥ 2⁸ into the var/tid/kind fields.
-            let head =
-                (perm[old] as u64) << 32 | kind << 24 | (ev.tid.0 as u64) << 16 | (var as u64) << 8;
-            let payload = a.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17)
-                ^ b.wrapping_mul(0xc2b2_ae3d_27d4_eb4f).rotate_left(39);
-            events.absorb(head ^ payload);
-        }
-        // Edge sets: permuted pairs tagged by relation, folded without
-        // materialising or sorting them.
-        let edge_fold = |r: &Relation, tag: u64| -> u128 {
-            let mut fold = SetFold::default();
-            for (a, b) in r.pairs() {
-                fold.absorb(tag << 60 | (perm[a] as u64) << 30 | perm[b] as u64);
-            }
-            fold.digest()
-        };
-        combine128(&[
-            n as u128,
-            events.digest(),
-            edge_fold(&self.sb, 1),
-            edge_fold(&self.rf, 2),
-            edge_fold(&self.mo, 3),
-        ])
+        *self.derived.fp.get_or_init(|| {
+            let fold = self.derived.fold.get_or_init(|| self.fold_with(None));
+            debug_assert_eq!(
+                *fold,
+                self.fold_with(None),
+                "incrementally maintained fingerprint fold diverged"
+            );
+            fold.digest(self.len())
+        })
     }
 
     /// The fingerprint of this state *relabelled* by a thread
     /// permutation: `map[old_tid] = new_tid` (`map[0] = 0`; injective
-    /// over the tids that occur). Mirrors [`C11State::fingerprint`]
-    /// exactly — counting-sorts events by the *mapped* tid and bakes the
-    /// mapped tid into each event record — so the result equals the
-    /// cached fingerprint of the state with every event's tid rewritten
-    /// through `map`. Never cached: symmetry canonicalisation probes
-    /// many relabellings per state.
-    ///
-    /// Well-defined because the canonical renumbering only needs the
-    /// per-thread arena order, which a tid *rename* preserves.
+    /// over the tids that occur). Equals the fingerprint of the state
+    /// with every event's tid rewritten through `map`: a rename keeps
+    /// each thread's events in order, so it only renames coordinates.
+    /// The identity map returns the cached fingerprint; any other map is
+    /// folded from scratch and not cached, since symmetry
+    /// canonicalisation probes many relabellings per state.
     pub fn fingerprint_relabelled(&self, map: &[u8]) -> u128 {
+        if map.iter().enumerate().all(|(i, &t)| t as usize == i) {
+            return self.fingerprint();
+        }
+        self.fold_with(Some(map)).digest(self.len())
+    }
+
+    /// The folds of [`C11State::fingerprint`], from scratch, with every
+    /// tid rewritten through `map` when one is given.
+    fn fold_with(&self, map: Option<&[u8]>) -> Fold {
         let n = self.len();
-        let mut stack = [0usize; 128];
+        let mut stack = [0u64; 128];
         let mut heap = Vec::new();
-        let perm: &mut [usize] = if n <= 128 {
+        let coords: &mut [u64] = if n <= 128 {
             &mut stack[..n]
         } else {
             heap.resize(n, 0);
             &mut heap[..]
         };
-        let tid_of = |t: ThreadId| -> u64 { map[t.0 as usize] as u64 };
-        // Counting sort by *mapped* tid: new id = rank under
-        // (map[tid], arena order).
-        let mut start = [0usize; 257];
-        for ev in &self.events {
-            start[tid_of(ev.tid) as usize + 1] += 1;
-        }
-        for i in 1..257 {
-            start[i] += start[i - 1];
-        }
-        for (old, ev) in self.events.iter().enumerate() {
-            let slot = &mut start[tid_of(ev.tid) as usize];
-            perm[old] = *slot;
-            *slot += 1;
-        }
-        let mut events = SetFold::default();
-        for (old, ev) in self.events.iter().enumerate() {
-            let (kind, var, a, b) = match ev.action {
-                c11_lang::Action::Rd { var, val, acquire } => {
-                    (1u64, var.0, val as u64, acquire as u64)
-                }
-                c11_lang::Action::Wr { var, val, release } => {
-                    (2u64, var.0, val as u64, release as u64)
-                }
-                c11_lang::Action::Upd { var, old, new } => (3u64, var.0, old as u64, new as u64),
-            };
-            let head =
-                (perm[old] as u64) << 32 | kind << 24 | tid_of(ev.tid) << 16 | (var as u64) << 8;
-            let payload = a.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17)
-                ^ b.wrapping_mul(0xc2b2_ae3d_27d4_eb4f).rotate_left(39);
-            events.absorb(head ^ payload);
-        }
-        let edge_fold = |r: &Relation, tag: u64| -> u128 {
-            let mut fold = SetFold::default();
-            for (a, b) in r.pairs() {
-                fold.absorb(tag << 60 | (perm[a] as u64) << 30 | perm[b] as u64);
+        let mut fold = Fold::default();
+        for (t, thread) in self.events_by_tid.iter().enumerate() {
+            let tid = map.map_or(t as u8, |m| m[t]);
+            for (index, &e) in thread.iter().enumerate() {
+                coords[e] = coord(tid, index);
+                fold.absorb_event(coords[e], &self.events[e]);
             }
-            fold.digest()
-        };
-        combine128(&[
-            n as u128,
-            events.digest(),
-            edge_fold(&self.sb, 1),
-            edge_fold(&self.rf, 2),
-            edge_fold(&self.mo, 3),
-        ])
+        }
+        for (a, b) in self.sb.pairs() {
+            fold.sb.absorb(coords[a], coords[b]);
+        }
+        for (a, b) in self.rf.pairs() {
+            fold.rf.absorb(coords[a], coords[b]);
+        }
+        for (a, b) in self.mo.pairs() {
+            fold.mo.absorb(coords[a], coords[b]);
+        }
+        fold
+    }
+
+    /// The coordinate of event `e` (see [`Fold`]).
+    fn coord_of(&self, e: EventId) -> u64 {
+        let tid = self.events[e].tid;
+        let index = self.events_by_tid[tid.0 as usize]
+            .binary_search(&e)
+            .expect("every event is indexed under its thread");
+        coord(tid.0, index)
+    }
+
+    /// Absorbs the new edge `(a, b)` into the fold `rel` picks, if the
+    /// folds are populated. The caller checks that the edge is new.
+    fn fold_edge(&mut self, rel: fn(&mut Fold) -> &mut SetFold, a: EventId, b: EventId) {
+        if let Some(mut fold) = self.derived.fold.get().copied() {
+            rel(&mut fold).absorb(self.coord_of(a), self.coord_of(b));
+            self.derived.fold = OnceLock::from(fold);
+        }
     }
 
     /// A thread-naming-independent digest of what thread `t` has done:

@@ -4,27 +4,106 @@
 
 use crate::budget::{Budget, Interrupt};
 use crate::dpor::{bit, successor_sleep, SleepMask};
-use crate::sym::{sym_fingerprint, SymClasses};
+use crate::sym::{sym_key, SymClasses};
 use c11_core::config::{Config, ConfigStep};
 use c11_core::fingerprint::{combine128, hash128_of};
 use c11_core::model::MemoryModel;
 use c11_lang::step::{RegFile, StepShape};
-use c11_lang::{Prog, RegId, StepLabel, ThreadId, Val};
+use c11_lang::{Com, Prog, RegId, StepLabel, ThreadId, Val};
 use c11_store::{AnyStore, StoreKind, StoreStats, VisitedStore};
 use std::collections::VecDeque;
 
-/// The 128-bit visited key of a configuration: fixed-seed fingerprints of
-/// the residual commands, the register files and the memory state's
-/// canonical form, mixed together. Replaces the old cloned
-/// `(Vec<Com>, Vec<RegFile>, CanonKey)` tuples — no per-successor
-/// allocation, and the same key works across worker threads (see
+/// The digest of one thread: its residual command and register file.
+fn thread_digest(com: &Com, regs: &RegFile) -> u128 {
+    hash128_of(&(com, regs))
+}
+
+/// The per-thread digests of `c` (`digests[i]` is thread `i + 1`'s).
+pub(crate) fn thread_digests<M: MemoryModel>(c: &Config<M>) -> Vec<u128> {
+    c.coms
+        .iter()
+        .zip(&c.regs)
+        .map(|(com, regs)| thread_digest(com, regs))
+        .collect()
+}
+
+/// The 128-bit visited key of a configuration with per-thread digests
+/// `digests` (in thread order) and memory fingerprint `mem`, mixed
+/// order-sensitively. The same key works across worker threads (see
 /// `c11_core::fingerprint` for the collision stance).
-pub(crate) fn config_fingerprint<M: MemoryModel>(model: &M, c: &Config<M>) -> u128 {
-    combine128(&[
-        hash128_of(&c.coms),
-        hash128_of(&c.regs),
-        model.state_fingerprint(&c.mem),
-    ])
+pub(crate) fn config_key(digests: impl IntoIterator<Item = u128>, mem: u128) -> u128 {
+    combine128(digests.into_iter().chain([mem]))
+}
+
+/// The dedup keys of one run, plain or symmetry-canonical, shared by all
+/// three engines. Every frontier entry carries its configuration's
+/// per-thread digests, so a successor's key rehashes only the thread
+/// that moved; the memory fingerprint is incremental in `c11_core`.
+pub(crate) struct Keys<'a, M> {
+    model: &'a M,
+    /// The symmetry classes, when the run quotients by them.
+    sym: Option<&'a SymClasses>,
+}
+
+/// A successor's key, and what its digests need from its parent's.
+pub(crate) struct Keyed {
+    pub(crate) key: u128,
+    thread: usize,
+    digest: u128,
+}
+
+impl Keyed {
+    /// The successor's per-thread digests: `parent`'s with the moved
+    /// thread's replaced. Allocated only for successors that are kept.
+    pub(crate) fn digests(&self, parent: &[u128]) -> Vec<u128> {
+        let mut digests = parent.to_vec();
+        digests[self.thread] = self.digest;
+        digests
+    }
+}
+
+impl<'a, M: MemoryModel> Keys<'a, M> {
+    /// Symmetry-canonical keys under `sym`'s classes, plain keys
+    /// without.
+    pub(crate) fn new(model: &'a M, sym: Option<&'a SymClasses>) -> Self {
+        Keys { model, sym }
+    }
+
+    /// The key and per-thread digests of a root configuration.
+    pub(crate) fn root(&self, c: &Config<M>) -> (u128, Vec<u128>) {
+        let digests = thread_digests(c);
+        let key = match self.sym {
+            Some(classes) => sym_key(self.model, classes, c, &digests),
+            None => config_key(
+                digests.iter().copied(),
+                self.model.state_fingerprint(&c.mem),
+            ),
+        };
+        (key, digests)
+    }
+
+    /// The key of `next`, reached by a step of `tid` from a configuration
+    /// with per-thread digests `parent`. Only `tid` is rehashed.
+    pub(crate) fn step(&self, parent: &[u128], tid: ThreadId, next: &Config<M>) -> Keyed {
+        let thread = tid.0 as usize - 1;
+        let digest = thread_digest(&next.coms[thread], &next.regs[thread]);
+        let moved = |(i, &d): (usize, &u128)| if i == thread { digest } else { d };
+        let key = match self.sym {
+            Some(classes) => {
+                let digests: Vec<u128> = parent.iter().enumerate().map(moved).collect();
+                sym_key(self.model, classes, next, &digests)
+            }
+            None => config_key(
+                parent.iter().enumerate().map(moved),
+                self.model.state_fingerprint(&next.mem),
+            ),
+        };
+        Keyed {
+            key,
+            thread,
+            digest,
+        }
+    }
 }
 
 /// Exploration bounds and switches.
@@ -443,6 +522,11 @@ pub fn explore_dpor<M: MemoryModel>(
     explore_dpor_invariant(model, prog, cfg, |_| true)
 }
 
+/// A queue entry of [`bfs`]: the configuration, its trace node, its depth,
+/// the threads asleep at its expansion and its per-thread digests (empty
+/// without dedup, which computes no keys).
+type Entry<M> = (Config<M>, usize, usize, SleepMask, Vec<u128>);
+
 /// The breadth-first search behind the sequential engine, with or
 /// without the sleep-set successor filter.
 fn bfs<M, F>(
@@ -476,17 +560,13 @@ where
     // some other way. Either way the filter keeps its expansion order
     // but puts nothing to sleep (sound, no reduction).
     let masks = sleep_sets && !sym_on && initial.coms.len() <= SleepMask::BITS as usize;
-    let key = |c: &Config<M>| {
-        if sym_on {
-            sym_fingerprint(model, &classes, c)
-        } else {
-            config_fingerprint(model, c)
-        }
-    };
-    // (cfg, node, depth, threads asleep at expansion)
-    let mut queue: VecDeque<(Config<M>, usize, usize, SleepMask)> = VecDeque::new();
+    let keys = Keys::new(model, sym_on.then_some(&classes));
+    let mut queue: VecDeque<Entry<M>> = VecDeque::new();
+    let mut root_digests = Vec::new();
     if dedup {
-        visited.insert(key(&initial));
+        let (key, digests) = keys.root(&initial);
+        visited.insert(key);
+        root_digests = digests;
     }
     // Check the initial configuration.
     if !inv(&initial) {
@@ -499,7 +579,7 @@ where
         result.finals.push(initial);
         final_nodes.push(TraceArena::ROOT);
     } else {
-        queue.push_back((initial, TraceArena::ROOT, 0, 0));
+        queue.push_back((initial, TraceArena::ROOT, 0, 0, root_digests));
     }
     result.unique = 1;
 
@@ -513,7 +593,7 @@ where
     }
     let mut tick: u64 = 0;
     while result.interrupted.is_none() {
-        let Some((config, node_idx, depth, sleep)) = queue.pop_front() else {
+        let Some((config, node_idx, depth, sleep, digests)) = queue.pop_front() else {
             break;
         };
         if !unlimited {
@@ -557,7 +637,8 @@ where
         } in successors
         {
             result.generated += 1;
-            if dedup && !visited.insert(key(&next)) {
+            let keyed = dedup.then(|| keys.step(&digests, tid, &next));
+            if keyed.as_ref().is_some_and(|k| !visited.insert(k.key)) {
                 continue;
             }
             let new_idx = if track {
@@ -581,7 +662,8 @@ where
                 final_nodes.push(new_idx);
             } else {
                 let sleep = child_sleep.get(tid.0 as usize - 1).copied().unwrap_or(0);
-                queue.push_back((next, new_idx, depth + 1, sleep));
+                let digests = keyed.map_or_else(Vec::new, |k| k.digests(&digests));
+                queue.push_back((next, new_idx, depth + 1, sleep, digests));
             }
         }
     }

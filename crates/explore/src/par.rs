@@ -38,8 +38,8 @@
 //! ablation (E16) is a sequential measurement.
 
 use crate::budget::Interrupt;
-use crate::engine::{config_fingerprint, ExploreConfig, ExploreResult, TraceStep};
-use crate::sym::{sym_fingerprint, SymClasses};
+use crate::engine::{ExploreConfig, ExploreResult, Keys, TraceStep};
+use crate::sym::SymClasses;
 use c11_core::config::Config;
 use c11_core::model::MemoryModel;
 use c11_lang::Prog;
@@ -73,9 +73,9 @@ struct Node {
     step: TraceStep,
 }
 
-/// A queued unit of work: the configuration, its trace node and its BFS
-/// depth.
-type Item<M> = (Config<M>, NodeRef, usize);
+/// A queued unit of work: the configuration, its trace node, its BFS
+/// depth and its per-thread digests (see [`Keys`]).
+type Item<M> = (Config<M>, NodeRef, usize, Vec<u128>);
 
 /// Terminated configurations with their trace nodes.
 type Finals<M> = Vec<(Config<M>, NodeRef)>;
@@ -237,15 +237,9 @@ where
     }
     let unlimited = cfg.budget.is_unlimited();
 
-    // The dedup key every worker computes: symmetry-canonical when the
+    // The dedup keys every worker computes: symmetry-canonical when the
     // quotient is on, the plain configuration fingerprint otherwise.
-    let key = |c: &Config<M>| {
-        if sym_on {
-            sym_fingerprint(model, &classes, c)
-        } else {
-            config_fingerprint(model, c)
-        }
-    };
+    let keys = Keys::new(model, sym_on.then_some(&classes));
 
     let shared: Shared<M> = Shared {
         filter: ConcurrentStore::new(cfg.store, sym_on),
@@ -260,9 +254,10 @@ where
         interrupt: AtomicUsize::new(0),
         panic: Mutex::new(None),
     };
-    shared.filter.insert(key(&initial));
+    let (root_key, root_digests) = keys.root(&initial);
+    shared.filter.insert(root_key);
     let mut seeds: Vec<VecDeque<Item<M>>> = (0..workers).map(|_| VecDeque::new()).collect();
-    seeds[0].push_back((initial, NodeRef::NONE, 0));
+    seeds[0].push_back((initial, NodeRef::NONE, 0, root_digests));
 
     let outs: Vec<WorkerOut<M>> = crossbeam::scope(|scope| {
         let handles: Vec<_> = seeds
@@ -270,7 +265,7 @@ where
             .enumerate()
             .map(|(me, seed)| {
                 let shared = &shared;
-                let key = &key;
+                let keys = &keys;
                 scope.spawn(move |_| {
                     // The worker body runs under `catch_unwind`: a
                     // panicking user invariant must not strand siblings
@@ -287,7 +282,7 @@ where
                         let mut stuck = 0usize;
                         let mut tick = 0u64;
                         'work: loop {
-                            let (config, node, depth) = match local.pop_front() {
+                            let (config, node, depth, digests) = match local.pop_front() {
                                 Some(item) => item,
                                 None => {
                                     // Starving: advertise it, then poll the
@@ -355,13 +350,13 @@ where
                                 for step in successors {
                                     generated += 1;
                                     let next = step.next;
-                                    let k = key(&next);
+                                    let keyed = keys.step(&digests, step.tid, &next);
                                     // Private cache first — repeats this
                                     // worker generated never touch the filter.
-                                    if !seen.insert(k) {
+                                    if !seen.insert(keyed.key) {
                                         continue;
                                     }
-                                    if !shared.filter.insert(k) {
+                                    if !shared.filter.insert(keyed.key) {
                                         continue;
                                     }
                                     shared.unique.fetch_add(1, Ordering::Relaxed);
@@ -391,7 +386,8 @@ where
                                         finals.push((next, child));
                                     } else {
                                         shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                                        local.push_back((next, child, depth + 1));
+                                        let digests = keyed.digests(&digests);
+                                        local.push_back((next, child, depth + 1, digests));
                                     }
                                 }
                             }

@@ -90,7 +90,7 @@
 //! under symmetric keying.
 
 use crate::engine::{
-    config_fingerprint, explore_invariant_with, ExploreConfig, ExploreResult, TraceArena, TraceStep,
+    explore_invariant_with, ExploreConfig, ExploreResult, Keys, TraceArena, TraceStep,
 };
 use c11_core::config::{Config, ConfigStep};
 use c11_core::model::MemoryModel;
@@ -126,6 +126,9 @@ struct Frame<M: MemoryModel> {
     depth: usize,
     /// Fingerprint (for removing from the on-path cycle set at pop).
     fp: u128,
+    /// Per-thread digests, from which the successors' fingerprints are
+    /// computed (see [`Keys`]).
+    digests: Vec<u128>,
     /// Pending step shape per thread at this configuration.
     shapes: Vec<Option<StepShape>>,
     /// Threads asleep here: their next step is covered by an already
@@ -240,7 +243,9 @@ where
     let unlimited = budget.is_unlimited();
     let mut tick: u64 = 0;
 
-    let fp0 = config_fingerprint(model, &initial);
+    // Plain keys: symmetry quotienting is ignored here (module docs).
+    let keys = Keys::new(model, None);
+    let (fp0, digests0) = keys.root(&initial);
     visited.insert(fp0);
     result.unique = 1;
     if !unlimited {
@@ -264,7 +269,7 @@ where
             initial,
             TraceArena::ROOT,
             0,
-            fp0,
+            (fp0, digests0),
             0,
             Vec::new(),
             0,
@@ -296,7 +301,8 @@ where
                 ..
             } = step;
             let t = tid.0 as usize - 1;
-            let fp = config_fingerprint(model, &next);
+            let keyed = keys.step(&stack[pos].digests, tid, &next);
+            let fp = keyed.key;
             if visited.insert(fp) {
                 result.unique += 1;
             }
@@ -378,7 +384,8 @@ where
             let depth = stack[pos].depth + 1;
             stack[pos].cur_pushed = true;
             *on_path.entry(fp).or_insert(0) += 1;
-            stack.push(new_frame(next, new_idx, depth, fp, sleep, forced, ev_len));
+            let key = (fp, keyed.digests(&stack[pos].digests));
+            stack.push(new_frame(next, new_idx, depth, key, sleep, forced, ev_len));
             continue;
         }
         // ---- the current thread's branches are exhausted --------------
@@ -466,11 +473,13 @@ pub fn explore_source<M: MemoryModel>(
     explore_source_invariant(model, prog, cfg, |_| true)
 }
 
+/// A fresh frame for `config`; `key` is its fingerprint and per-thread
+/// digests.
 fn new_frame<M: MemoryModel>(
     config: Config<M>,
     node_idx: usize,
     depth: usize,
-    fp: u128,
+    (fp, digests): (u128, Vec<u128>),
     sleep: SleepMask,
     forced: Vec<usize>,
     ev_len: usize,
@@ -484,6 +493,7 @@ fn new_frame<M: MemoryModel>(
         node_idx,
         depth,
         fp,
+        digests,
         shapes,
         sleep,
         wut: VecDeque::new(),

@@ -12,13 +12,15 @@
 //! other without changing the program); [`sym_fingerprint`] replaces the
 //! flat configuration fingerprint with the **minimum fingerprint over
 //! the orbit**: class members are sorted by an equivariant per-thread
-//! key (residual command, register file, memory contribution), the
-//! arrangements that tie under that key are enumerated (capped), and
-//! each candidate relabelling is fingerprinted via
-//! [`MemoryModel::state_fingerprint_relabelled`] without cloning the
-//! configuration. Orbit-equivalent configurations sort their members
-//! into the same key order, so they probe the same relabelled set and
-//! agree on the minimum — one stored representative per orbit.
+//! key (the thread's digest of residual command and register file, and
+//! its memory contribution), the arrangements that tie under that key
+//! are enumerated (capped), and each candidate relabelling is
+//! fingerprinted by permuting the per-thread digests and calling
+//! [`MemoryModel::state_fingerprint_relabelled`], without cloning or
+//! rehashing the configuration. Orbit-equivalent configurations sort
+//! their members into the same key order, so they probe the same
+//! relabelled set and agree on the minimum — one stored representative
+//! per orbit.
 //!
 //! Soundness: the canonical key of a configuration is the true
 //! fingerprint of *some relabelling of it*, so two configurations merge
@@ -29,9 +31,8 @@
 //! only *split* an orbit (storing extra representatives), never merge
 //! distinct ones.
 
-use crate::engine::config_fingerprint;
+use crate::engine::{config_key, thread_digests};
 use c11_core::config::Config;
-use c11_core::fingerprint::{combine128, hash128_of};
 use c11_core::model::MemoryModel;
 use c11_lang::step::RegFile;
 use c11_lang::{Prog, ThreadId};
@@ -154,20 +155,29 @@ fn factorial(n: usize) -> usize {
 
 /// The symmetry-canonical fingerprint of a configuration: the minimum
 /// plain fingerprint over the (capped) candidate set of class
-/// relabellings. Falls back to [`config_fingerprint`] when the classes
-/// are trivial.
+/// relabellings. Equals the plain key when the classes are trivial.
 pub fn sym_fingerprint<M: MemoryModel>(model: &M, classes: &SymClasses, c: &Config<M>) -> u128 {
+    sym_key(model, classes, c, &thread_digests(c))
+}
+
+/// [`sym_fingerprint`] of a configuration whose per-thread digests are
+/// already known (`digests[i]` is thread `i + 1`'s).
+pub(crate) fn sym_key<M: MemoryModel>(
+    model: &M,
+    classes: &SymClasses,
+    c: &Config<M>,
+    digests: &[u128],
+) -> u128 {
     if classes.is_trivial() {
-        return config_fingerprint(model, c);
+        return config_key(digests.iter().copied(), model.state_fingerprint(&c.mem));
     }
     // Equivariant per-thread key of class member `i` (0-based): what the
-    // thread still has to run, what it has computed, and what it did to
-    // memory. Members with distinct keys cannot be interchangeable, so
-    // only ties need their arrangements enumerated.
-    let member_key = |i: u8| -> (u128, u128, u64) {
+    // thread still has to run and has computed (its digest), and what it
+    // did to memory. Members with distinct keys cannot be
+    // interchangeable, so only ties need their arrangements enumerated.
+    let member_key = |i: u8| -> (u128, u64) {
         (
-            hash128_of(&c.coms[i as usize]),
-            hash128_of(&c.regs[i as usize]),
+            digests[i as usize],
             model.thread_mem_key(&c.mem, ThreadId(i + 1)),
         )
     };
@@ -177,8 +187,7 @@ pub fn sym_fingerprint<M: MemoryModel>(model: &M, classes: &SymClasses, c: &Conf
     let mut candidates_total = 1usize;
     let mut blocks: Vec<Vec<(usize, usize)>> = Vec::with_capacity(classes.classes.len());
     for class in &classes.classes {
-        let mut keyed: Vec<(u8, (u128, u128, u64))> =
-            class.iter().map(|&i| (i, member_key(i))).collect();
+        let mut keyed: Vec<(u8, (u128, u64))> = class.iter().map(|&i| (i, member_key(i))).collect();
         keyed.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         let mut class_blocks = Vec::new();
         let mut start = 0;
@@ -197,7 +206,8 @@ pub fn sym_fingerprint<M: MemoryModel>(model: &M, classes: &SymClasses, c: &Conf
 
     let n = c.coms.len();
     let mut map: Vec<u8> = (0..=n as u8).collect();
-    let fingerprint_of = |arrangements: &[Vec<u8>], map: &mut Vec<u8>| -> u128 {
+    let mut view: Vec<u128> = vec![0; n];
+    let mut fingerprint_of = |arrangements: &[Vec<u8>]| -> u128 {
         for (i, slot) in map.iter_mut().enumerate() {
             *slot = i as u8;
         }
@@ -207,27 +217,22 @@ pub fn sym_fingerprint<M: MemoryModel>(model: &M, classes: &SymClasses, c: &Conf
                 map[member as usize + 1] = class[j] + 1;
             }
         }
-        let mut coms_view: Vec<&std::sync::Arc<c11_lang::Com>> = c.coms.iter().collect();
-        let mut regs_view: Vec<&RegFile> = c.regs.iter().collect();
-        for old in 0..n {
-            let new = (map[old + 1] - 1) as usize;
-            coms_view[new] = &c.coms[old];
-            regs_view[new] = &c.regs[old];
+        // The relabelled configuration's thread `new` is thread `old`
+        // here, so its digests are these permuted: the candidate value IS
+        // the plain key of the relabelled configuration.
+        for (old, &digest) in digests.iter().enumerate() {
+            view[(map[old + 1] - 1) as usize] = digest;
         }
-        // `&T` and `Arc<T>` both hash as `T`, so the views hash exactly
-        // like the owned `Vec`s in `config_fingerprint` — the candidate
-        // value IS the plain fingerprint of the relabelled config.
-        combine128(&[
-            hash128_of(&coms_view),
-            hash128_of(&regs_view),
-            model.state_fingerprint_relabelled(&c.mem, map),
-        ])
+        config_key(
+            view.iter().copied(),
+            model.state_fingerprint_relabelled(&c.mem, &map),
+        )
     };
 
     if candidates_total > PERM_CAP {
         // Orbit-splitting fallback: one deterministic arrangement. Never
         // merges inequivalent states; may store an orbit twice.
-        return fingerprint_of(&sorted_classes, &mut map);
+        return fingerprint_of(&sorted_classes);
     }
 
     // Enumerate the product of tie-block permutations across classes and
@@ -242,7 +247,7 @@ pub fn sym_fingerprint<M: MemoryModel>(model: &M, classes: &SymClasses, c: &Conf
         0,
         0,
         &mut |arrs: &[Vec<u8>]| {
-            let fp = fingerprint_of(arrs, &mut map);
+            let fp = fingerprint_of(arrs);
             if fp < best {
                 best = fp;
             }
@@ -283,6 +288,7 @@ fn enumerate_blocks<F: FnMut(&[Vec<u8>])>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Keys;
     use c11_core::model::RaModel;
     use c11_lang::parse_program;
 
@@ -342,10 +348,8 @@ mod tests {
         .unwrap();
         let classes = SymClasses::of(&prog);
         let initial = Config::initial(&RaModel, &prog);
-        assert_eq!(
-            sym_fingerprint(&RaModel, &classes, &initial),
-            config_fingerprint(&RaModel, &initial)
-        );
+        let (plain, _) = Keys::new(&RaModel, None).root(&initial);
+        assert_eq!(sym_fingerprint(&RaModel, &classes, &initial), plain);
     }
 
     #[test]
@@ -383,7 +387,8 @@ mod tests {
         };
         assert_eq!(keys(&by_a), keys(&by_b), "orbits must merge");
         let flat = |cs: &[&Config<RaModel>]| -> Vec<u128> {
-            let mut k: Vec<u128> = cs.iter().map(|c| config_fingerprint(&RaModel, c)).collect();
+            let plain = Keys::new(&RaModel, None);
+            let mut k: Vec<u128> = cs.iter().map(|c| plain.root(c).0).collect();
             k.sort();
             k
         };

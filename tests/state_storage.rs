@@ -13,9 +13,10 @@ use c11_operational::prelude::*;
 use proptest::prelude::*;
 use std::path::Path;
 
-/// The plain configuration fingerprint (mirrors the engine's dedup key).
+/// A plain (non-symmetric) configuration fingerprint. Any exact key
+/// serves to match twins; the engines mix per-thread digests instead.
 fn plain_fp(model: &RaModel, c: &Config<RaModel>) -> u128 {
-    combine128(&[
+    combine128([
         hash128_of(&c.coms),
         hash128_of(&c.regs),
         model.state_fingerprint(&c.mem),
@@ -33,7 +34,7 @@ fn relabelled_fp(model: &RaModel, c: &Config<RaModel>, map: &[u8]) -> u128 {
         coms[new] = c.coms[old].clone();
         regs[new] = c.regs[old].clone();
     }
-    combine128(&[
+    combine128([
         hash128_of(&coms),
         hash128_of(&regs),
         model.state_fingerprint_relabelled(&c.mem, map),
