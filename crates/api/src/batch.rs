@@ -212,7 +212,7 @@ impl BatchStats {
 
     fn summary_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::str("c11check/v1")),
+            ("schema", Json::str(crate::persist::SCHEMA_VERSION)),
             ("mode", Json::str("batch-summary")),
             ("jobs", Json::from(self.jobs)),
             ("ok", Json::from(self.ok)),

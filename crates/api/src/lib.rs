@@ -45,7 +45,7 @@ use c11_core::model::{MemoryModel, PreExecutionModel, RaModel, ScModel};
 use c11_explore::{
     AnyBackend, Budget, ExploreConfig, ExploreResult, Interrupt, RegSnapshot, Stats,
 };
-pub use c11_explore::{Engine, Reduction, StoreKind, StoreStats};
+pub use c11_explore::{Contract, Engine, Reduction, StoreKind, StoreStats};
 use c11_lang::step::RegFile;
 use c11_lang::{parse_program, Prog, RegId, ThreadId, Val};
 use c11_litmus::{run_test_configured, LitmusTest, Verdict};
@@ -67,12 +67,21 @@ pub enum ModelChoice {
 }
 
 impl ModelChoice {
-    fn as_str(&self) -> &'static str {
+    /// Every model, in request-schema order.
+    pub const ALL: [ModelChoice; 3] = [ModelChoice::Ra, ModelChoice::Sc, ModelChoice::PreExecution];
+
+    /// The JSON name (`"ra"`, `"sc"`, `"pre-execution"`).
+    pub fn name(&self) -> &'static str {
         match self {
             ModelChoice::Ra => "ra",
             ModelChoice::Sc => "sc",
             ModelChoice::PreExecution => "pre-execution",
         }
+    }
+
+    /// Parses a JSON model name.
+    pub fn parse(s: &str) -> Option<ModelChoice> {
+        ModelChoice::ALL.into_iter().find(|m| m.name() == s)
     }
 }
 
@@ -242,6 +251,32 @@ pub enum Mode {
     /// (requires [`CheckRequest::litmus`] input).
     LitmusVerdict,
 }
+
+impl Mode {
+    /// The three data-free modes, in request-schema order (an
+    /// [`Invariant`] carries a predicate, so it has no request spelling).
+    pub const ALL: [Mode; 3] = [Mode::Outcomes, Mode::CountOnly, Mode::LitmusVerdict];
+
+    /// The JSON name, shared by requests, reports and cache snapshots
+    /// (`"outcomes"`, `"count"`, `"invariant"`, `"litmus"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Mode::Outcomes => "outcomes",
+            Mode::CountOnly => "count",
+            Mode::Invariant(_) => INVARIANT_MODE,
+            Mode::LitmusVerdict => "litmus",
+        }
+    }
+
+    /// Parses the JSON name of a data-free mode.
+    pub fn parse(s: &str) -> Option<Mode> {
+        Mode::ALL.into_iter().find(|m| m.name() == s)
+    }
+}
+
+/// [`Mode::Invariant`]'s name, which reports without a [`Mode`] at hand
+/// spell too.
+const INVARIANT_MODE: &str = "invariant";
 
 /// How a request can fail before producing a report.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -470,7 +505,7 @@ impl CheckRequest {
         if matches!(self.engine, Engine::Parallel { .. }) && self.reduction != Reduction::None {
             return Err(CheckError::Unsupported(format!(
                 "the parallel engine cannot run a {} reduction; use the sequential engine",
-                self.reduction.kind_str()
+                self.reduction.name()
             )));
         }
         // Invariants quantify over every reachable configuration; the
@@ -746,13 +781,11 @@ pub struct Meta {
 impl Meta {
     /// The report's `"backend"` block: the engine that did the walking.
     fn backend_json(&self) -> Json {
-        match self.engine {
-            Engine::Sequential => Json::obj(vec![("kind", Json::str("sequential"))]),
-            Engine::Parallel { workers } => Json::obj(vec![
-                ("kind", Json::str("parallel")),
-                ("workers", Json::from(workers.max(1))),
-            ]),
+        let mut pairs = vec![("kind", Json::str(self.engine.name()))];
+        if let Engine::Parallel { workers } = self.engine {
+            pairs.push(("workers", Json::from(workers.max(1))));
         }
+        Json::obj(pairs)
     }
 
     /// The report's `"reduction"` block. Only reduced runs carry the
@@ -762,7 +795,7 @@ impl Meta {
         match self.reduction {
             Reduction::None => None,
             r => Some(Json::obj(vec![
-                ("kind", Json::str(r.kind_str())),
+                ("kind", Json::str(r.name())),
                 ("contract", Json::str(r.contract_str())),
             ])),
         }
@@ -888,13 +921,6 @@ pub enum CheckReport {
     Litmus(LitmusVerdictReport),
 }
 
-fn verdict_str(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Allowed => "allowed",
-        Verdict::Forbidden => "forbidden",
-    }
-}
-
 fn stats_json(s: &Stats) -> Json {
     let mut pairs = vec![
         ("unique", Json::from(s.unique)),
@@ -968,10 +994,10 @@ impl CheckReport {
     /// The mode tag used in the JSON encoding.
     pub fn mode_str(&self) -> &'static str {
         match self {
-            CheckReport::Outcomes(_) => "outcomes",
-            CheckReport::Count(_) => "count",
-            CheckReport::Invariant(_) => "invariant",
-            CheckReport::Litmus(_) => "litmus",
+            CheckReport::Outcomes(_) => Mode::Outcomes.name(),
+            CheckReport::Count(_) => Mode::CountOnly.name(),
+            CheckReport::Invariant(_) => INVARIANT_MODE,
+            CheckReport::Litmus(_) => Mode::LitmusVerdict.name(),
         }
     }
 
@@ -1005,13 +1031,13 @@ impl CheckReport {
     /// e.g. the CLI's litmus-directory array).
     pub fn json_value(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = vec![
-            ("schema", Json::str("c11check/v1")),
+            ("schema", Json::str(crate::persist::SCHEMA_VERSION)),
             ("status", Json::str(self.status_str())),
             ("mode", Json::str(self.mode_str())),
         ];
         match self {
             CheckReport::Outcomes(r) => {
-                pairs.push(("model", Json::str(r.meta.model.as_str())));
+                pairs.push(("model", Json::str(r.meta.model.name())));
                 pairs.push(("backend", r.meta.backend_json()));
                 if let Some(red) = r.meta.reduction_json() {
                     pairs.push(("reduction", red));
@@ -1053,7 +1079,7 @@ impl CheckReport {
                 }
             }
             CheckReport::Count(r) => {
-                pairs.push(("model", Json::str(r.meta.model.as_str())));
+                pairs.push(("model", Json::str(r.meta.model.name())));
                 pairs.push(("backend", r.meta.backend_json()));
                 if let Some(red) = r.meta.reduction_json() {
                     pairs.push(("reduction", red));
@@ -1062,7 +1088,7 @@ impl CheckReport {
                 pairs.push(("stats", stats_json(&r.stats)));
             }
             CheckReport::Invariant(r) => {
-                pairs.push(("model", Json::str(r.meta.model.as_str())));
+                pairs.push(("model", Json::str(r.meta.model.name())));
                 pairs.push(("backend", r.meta.backend_json()));
                 if let Some(red) = r.meta.reduction_json() {
                     pairs.push(("reduction", red));
@@ -1098,8 +1124,8 @@ impl CheckReport {
                 }
                 pairs.push(("cache_hit", Json::from(r.meta.cache_hit)));
                 pairs.push(("name", Json::str(&r.name)));
-                pairs.push(("expect_ra", Json::str(verdict_str(r.expect_ra))));
-                pairs.push(("expect_sc", Json::str(verdict_str(r.expect_sc))));
+                pairs.push(("expect_ra", Json::str(r.expect_ra.name())));
+                pairs.push(("expect_sc", Json::str(r.expect_sc.name())));
                 pairs.push(("observed_ra", Json::from(r.observed_ra)));
                 pairs.push(("observed_sc", Json::from(r.observed_sc)));
                 pairs.push(("pass", Json::from(r.pass)));
@@ -1362,7 +1388,7 @@ mod tests {
             let Err(CheckError::Unsupported(msg)) = err else {
                 panic!("parallel × {reduction:?} must be rejected");
             };
-            assert!(msg.contains(reduction.kind_str()), "{msg}");
+            assert!(msg.contains(reduction.name()), "{msg}");
         }
     }
 

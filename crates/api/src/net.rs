@@ -1,5 +1,6 @@
-//! The `c11netd` wire protocol and the request/response vocabulary the
-//! service front-ends (`c11serve` over stdio, `c11netd` over TCP) share.
+//! The `c11check/v1` protocol: everything the two service front-ends
+//! (`c11serve` over stdio lines, `c11netd` over TCP frames) share, so
+//! that they are I/O loops around one [`Handler`].
 //!
 //! ## Frame layout
 //!
@@ -7,7 +8,7 @@
 //! that many payload bytes. The payload is one `c11check/v1` JSON
 //! document — a request line going in, a report line coming out — with
 //! no trailing newline. Frames are capped at [`MAX_FRAME_BYTES`]
-//! (mirroring `c11serve`'s line cap): a longer length prefix is a
+//! (the cap `c11serve` applies to lines): a longer length prefix is a
 //! protocol error, and since the stream cannot be resynchronised after
 //! one, the connection must be closed after answering.
 //!
@@ -31,24 +32,30 @@
 //!
 //! ## Requests
 //!
-//! [`request_from_json`] is the one parser behind both front-ends: it
-//! turns a request object (the schema documented in the README and on
-//! `c11serve`) into a [`CheckRequest`]. [`stats_request`] recognises the
-//! `{"stats": true}` control object, answered with [`stats_line`]
-//! instead of a report. The response builders ([`report_line`],
-//! [`error_line`], [`overloaded_line`]) render the exact line `c11serve`
-//! has always emitted, so the two transports stay byte-compatible.
+//! [`Handler`] is the request handler both transports drive: raw bytes
+//! in, one response line out. Under it, [`request_from_json`] is the
+//! one parser (and the one schema table) for request objects,
+//! [`stats_request`] recognises the `{"stats": true}` control object
+//! answered with [`stats_line`], and the response builders
+//! ([`report_line`], [`error_line`], [`overloaded_line`]) render every
+//! line either transport emits, so the two answer byte-identically
+//! (apart from the positional fallback id).
 
 use crate::json::Json;
-use crate::session::SessionStats;
+use crate::persist::SCHEMA_VERSION;
+use crate::session::{JobId, Session, SessionConfig, SessionStats};
 use crate::{
-    Bounds, CheckError, CheckReport, CheckRequest, Engine, Mode, ModelChoice, Reduction, StoreKind,
+    BatchStats, Bounds, CheckError, CheckReport, CheckRequest, Engine, Mode, ModelChoice,
+    Reduction, StoreKind,
 };
 use c11_litmus::{load_litmus_file, parse_litmus};
 use std::io::{ErrorKind, Read, Write};
+use std::sync::Mutex;
+use std::time::Duration;
 
-/// Longest accepted frame payload (1 MiB, matching `c11serve`'s line
-/// cap); a length prefix past this is a protocol error.
+/// Longest accepted request (1 MiB): a `c11netd` frame payload or a
+/// `c11serve` line. A longer length prefix is a protocol error; a
+/// longer line is dropped with an error answer.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// The outcome of one [`read_frame`] call.
@@ -153,9 +160,34 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Builds a [`CheckRequest`] from a parsed request object (the
-/// `c11check/v1` request schema both `c11serve` lines and `c11netd`
-/// frames carry). Errors are strings destined for the error response.
+/// Builds a [`CheckRequest`] from a parsed request object — the one
+/// definition of the `c11check/v1` request schema that `c11serve` lines
+/// and `c11netd` frames both carry. Unknown keys are rejected, and an
+/// unknown value names the valid set. Errors are strings destined for
+/// the error response.
+///
+/// | key            | value                                              |
+/// |----------------|----------------------------------------------------|
+/// | `id`           | string echoed into the response (default: the transport's position, `line-N` or `conn-C-F`) |
+/// | `program`      | DSL source text                                    |
+/// | `litmus_path`  | path to a regular `.litmus` file of at most 1 MiB  |
+/// | `litmus_source`| inline `.litmus` file text                         |
+/// | `model`        | `"ra"` (default) / `"sc"` / `"pre-execution"`      |
+/// | `mode`         | `"outcomes"` (default) / `"count"` / `"litmus"` (litmus inputs' default) |
+/// | `engine`       | `"sequential"` (default) / `"parallel"` (2 workers), or `{"kind":"parallel","workers":N}` |
+/// | `reduction`    | `"none"` (default) / `"sleep-set"` / `"source-set"`, or `{"kind":…,"contract":…}` |
+/// | `bounds`       | `{"max_events":N,"max_states":N,"max_depth":N}` (each optional; litmus inputs take only `max_events`) |
+/// | `store`        | `"flat"` (default) / `"sym"` / `"shared"` — visited-state store |
+/// | `symmetry`     | bool — quotient visited states by thread-permutation symmetry |
+/// | `traces`       | bool — witness schedules per outcome               |
+/// | `dot`          | integer — render up to N final executions as DOT   |
+/// | `timeout_ms`   | integer — per-request deadline, measured from when compute starts |
+///
+/// Exactly one of `program`, `litmus_path` and `litmus_source` selects
+/// the input. The `engine` and `reduction` objects are the report's own
+/// `"backend"` and `"reduction"` blocks, so a report's selection can be
+/// sent back as a request. A `{"stats": true}` object (optionally with
+/// an `id`) is the control request [`stats_request`] recognises instead.
 pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
     let obj = v.as_obj().ok_or("request must be a JSON object")?;
     const KNOWN: [&str; 14] = [
@@ -174,10 +206,8 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         "dot",
         "timeout_ms",
     ];
-    for (key, _) in obj {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(format!("unknown key {key:?}"));
-        }
+    if let Some(key) = unknown_key(obj, &KNOWN) {
+        return Err(format!("unknown key {key:?}"));
     }
     let program = v.get("program");
     let litmus_path = v.get("litmus_path");
@@ -209,92 +239,23 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         CheckRequest::litmus(test)
     };
     if let Some(model) = v.get("model") {
-        req = req.model(match model.as_str() {
-            Some("ra") => ModelChoice::Ra,
-            Some("sc") => ModelChoice::Sc,
-            Some("pre-execution") => ModelChoice::PreExecution,
-            _ => return Err("\"model\" must be \"ra\", \"sc\" or \"pre-execution\"".to_string()),
-        });
+        let names = ModelChoice::ALL.map(|m| m.name());
+        req = req.model(word(model, "\"model\"", ModelChoice::parse, &names)?);
     }
     if let Some(mode) = v.get("mode") {
-        req = req.mode(match mode.as_str() {
-            Some("outcomes") => Mode::Outcomes,
-            Some("count") => Mode::CountOnly,
-            Some("litmus") if is_litmus => Mode::LitmusVerdict,
-            Some("litmus") => {
+        let names = Mode::ALL.map(|m| m.name());
+        req = req.mode(match word(mode, "\"mode\"", Mode::parse, &names)? {
+            Mode::LitmusVerdict if !is_litmus => {
                 return Err("\"litmus\" mode needs a litmus_path/litmus_source input".to_string());
             }
-            _ => return Err("\"mode\" must be \"outcomes\", \"count\" or \"litmus\"".to_string()),
+            mode => mode,
         });
     }
     if let Some(engine) = v.get("engine") {
-        // Same two spellings as the report's "backend" block: a bare
-        // kind string or {"kind", "workers"}.
-        req = if let Some(kind) = engine.as_str() {
-            match kind {
-                "sequential" => req.engine(Engine::Sequential),
-                "parallel" => req.engine(Engine::Parallel { workers: 2 }),
-                _ => return Err("\"engine\" must be \"sequential\" or \"parallel\"".into()),
-            }
-        } else {
-            let fields = engine.as_obj().ok_or("\"engine\" must be an object")?;
-            for (key, _) in fields {
-                if key != "kind" && key != "workers" {
-                    return Err(format!("unknown \"engine\" key {key:?}"));
-                }
-            }
-            match engine.get("kind").and_then(Json::as_str) {
-                Some("sequential") => req.engine(Engine::Sequential),
-                Some("parallel") => req.engine(Engine::Parallel {
-                    workers: engine
-                        .get("workers")
-                        .and_then(Json::as_usize)
-                        .ok_or("parallel engine needs integer \"workers\"")?,
-                }),
-                _ => {
-                    return Err("\"engine\".\"kind\" must be \"sequential\" or \"parallel\"".into());
-                }
-            }
-        };
+        req = req.engine(engine_from_json(engine)?);
     }
     if let Some(reduction) = v.get("reduction") {
-        // A bare kind string or the report-schema {"kind", "contract"}
-        // object (the contract is derived; a stated one must agree).
-        let kind = if let Some(kind) = reduction.as_str() {
-            kind
-        } else {
-            let fields = reduction
-                .as_obj()
-                .ok_or("\"reduction\" must be an object")?;
-            for (key, _) in fields {
-                if key != "kind" && key != "contract" {
-                    return Err(format!("unknown \"reduction\" key {key:?}"));
-                }
-            }
-            reduction
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or("\"reduction\" needs a string \"kind\"")?
-        };
-        let parsed = match kind {
-            "none" => Reduction::None,
-            "sleep-set" => Reduction::SleepSet,
-            "source-set" => Reduction::SourceSet,
-            _ => {
-                return Err(
-                    "\"reduction\" must be \"none\", \"sleep-set\" or \"source-set\"".into(),
-                );
-            }
-        };
-        if let Some(stated) = reduction.get("contract") {
-            if stated.as_str() != Some(parsed.contract_str()) {
-                return Err(format!(
-                    "\"reduction\" contract disagrees with kind {kind:?} (its contract is {:?})",
-                    parsed.contract_str()
-                ));
-            }
-        }
-        req = req.reduction(parsed);
+        req = req.reduction(reduction_from_json(reduction)?);
     }
     if let Some(bounds) = v.get("bounds") {
         // Strictly validated like the top level: a typo'd or mis-typed
@@ -331,12 +292,8 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         }
     }
     if let Some(store) = v.get("store") {
-        req = req.store(
-            store
-                .as_str()
-                .and_then(StoreKind::parse)
-                .ok_or("\"store\" must be \"flat\", \"sym\" or \"shared\"")?,
-        );
+        let names = StoreKind::ALL.map(|k| k.name());
+        req = req.store(word(store, "\"store\"", StoreKind::parse, &names)?);
     }
     if let Some(sym) = v.get("symmetry") {
         req = req.symmetry(sym.as_bool().ok_or("\"symmetry\" must be a boolean")?);
@@ -354,47 +311,120 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
     Ok(req)
 }
 
+/// The first key of an object's `fields` that `allowed` does not list:
+/// requests are strict, so a typo'd key is an error, not a default.
+fn unknown_key<'a>(fields: &'a [(String, Json)], allowed: &[&str]) -> Option<&'a String> {
+    fields
+        .iter()
+        .map(|(k, _)| k)
+        .find(|k| !allowed.contains(&k.as_str()))
+}
+
+/// Reads a JSON string through a spelling table's `parse`; the error
+/// names the `what` key and lists the table's valid `names`.
+fn word<T>(
+    v: &Json,
+    what: &str,
+    parse: fn(&str) -> Option<T>,
+    names: &[&str],
+) -> Result<T, String> {
+    v.as_str()
+        .and_then(parse)
+        .ok_or_else(|| format!("{what} must be {}", one_of(names)))
+}
+
+/// `"a", "b" or "c"`: a spelling table's names (two or more), as
+/// errors list them.
+fn one_of(names: &[&str]) -> String {
+    let quoted: Vec<String> = names.iter().map(|n| format!("{n:?}")).collect();
+    let (last, rest) = quoted.split_last().expect("a table has names");
+    format!("{} or {last}", rest.join(", "))
+}
+
+/// The engine selection of a request's `"engine"` key or a report's
+/// `"backend"` block: a bare kind name (`"parallel"` gets 2 workers) or
+/// `{"kind", "workers"}`, where a parallel kind needs its workers.
+pub(crate) fn engine_from_json(v: &Json) -> Result<Engine, String> {
+    let names = Engine::ALL.map(|e| e.name());
+    if v.as_str().is_some() {
+        return word(v, "\"engine\"", Engine::parse, &names);
+    }
+    let fields = v.as_obj().ok_or("\"engine\" must be an object")?;
+    if let Some(key) = unknown_key(fields, &["kind", "workers"]) {
+        return Err(format!("unknown \"engine\" key {key:?}"));
+    }
+    let kind = v.get("kind").unwrap_or(&Json::Null);
+    match word(kind, "\"engine\".\"kind\"", Engine::parse, &names)? {
+        Engine::Parallel { .. } => Ok(Engine::Parallel {
+            workers: v
+                .get("workers")
+                .and_then(Json::as_usize)
+                .ok_or("parallel engine needs integer \"workers\"")?,
+        }),
+        engine => Ok(engine),
+    }
+}
+
+/// The reduction of a request's `"reduction"` key or a report's
+/// `"reduction"` block: a bare kind name or `{"kind", "contract"}`. The
+/// contract is derived from the kind; a stated one must agree.
+pub(crate) fn reduction_from_json(v: &Json) -> Result<Reduction, String> {
+    let kind = if let Some(kind) = v.as_str() {
+        kind
+    } else {
+        let fields = v.as_obj().ok_or("\"reduction\" must be an object")?;
+        if let Some(key) = unknown_key(fields, &["kind", "contract"]) {
+            return Err(format!("unknown \"reduction\" key {key:?}"));
+        }
+        v.get("kind")
+            .and_then(Json::as_str)
+            .ok_or("\"reduction\" needs a string \"kind\"")?
+    };
+    let names = Reduction::ALL.map(|r| r.name());
+    let reduction = Reduction::parse(kind)
+        .ok_or_else(|| format!("\"reduction\" must be {}", one_of(&names)))?;
+    if let Some(stated) = v.get("contract") {
+        if stated.as_str() != Some(reduction.contract_str()) {
+            return Err(format!(
+                "\"reduction\" contract disagrees with kind {kind:?} (its contract is {:?})",
+                reduction.contract_str()
+            ));
+        }
+    }
+    Ok(reduction)
+}
+
 /// Recognises the `{"stats": true}` control object (optionally carrying
 /// an `id`). `None` when the object is not a stats request at all;
 /// `Some(Err)` when it carries a `stats` key but is malformed — a
 /// request must never be half-interpreted as a control message.
 pub fn stats_request(v: &Json) -> Option<Result<(), String>> {
-    v.get("stats")?;
-    let check = || {
-        if let Some(obj) = v.as_obj() {
-            for (key, _) in obj {
-                if key != "stats" && key != "id" {
-                    return Err(format!("unknown key {key:?} in stats request"));
-                }
-            }
-        }
-        match v.get("stats").and_then(Json::as_bool) {
-            Some(true) => Ok(()),
-            _ => Err("\"stats\" must be the boolean true".to_string()),
-        }
-    };
-    Some(check())
+    let stats = v.get("stats")?;
+    let unknown = v.as_obj().and_then(|f| unknown_key(f, &["stats", "id"]));
+    Some(match (unknown, stats.as_bool()) {
+        (Some(key), _) => Err(format!("unknown key {key:?} in stats request")),
+        (None, Some(true)) => Ok(()),
+        (None, _) => Err("\"stats\" must be the boolean true".to_string()),
+    })
 }
 
 /// The error response both front-ends emit for a request that never
 /// produced a report.
 pub fn error_line(id: &str, msg: &str) -> String {
-    Json::obj(vec![
-        ("schema", Json::str("c11check/v1")),
-        ("id", Json::str(id)),
-        ("status", Json::str("error")),
-        ("error", Json::str(msg)),
-    ])
-    .render()
+    failure_line(id, "error", msg)
 }
 
 /// The backpressure response for a submission bounced by a full queue.
 pub fn overloaded_line(id: &str) -> String {
+    failure_line(id, "overloaded", "submission queue is full, retry later")
+}
+
+fn failure_line(id: &str, status: &str, msg: &str) -> String {
     Json::obj(vec![
-        ("schema", Json::str("c11check/v1")),
+        ("schema", Json::str(SCHEMA_VERSION)),
         ("id", Json::str(id)),
-        ("status", Json::str("overloaded")),
-        ("error", Json::str("submission queue is full, retry later")),
+        ("status", Json::str(status)),
+        ("error", Json::str(msg)),
     ])
     .render()
 }
@@ -409,21 +439,11 @@ pub fn report_line(id: &str, report: &CheckReport) -> String {
     Json::Obj(pairs).render()
 }
 
-/// The answer to one request's outcome: its report line, an
-/// `"overloaded"` line when the queue bounced it, or an error line.
-pub fn result_line(id: &str, result: &Result<CheckReport, CheckError>) -> String {
-    match result {
-        Ok(report) => report_line(id, report),
-        Err(CheckError::Overloaded) => overloaded_line(id),
-        Err(e) => error_line(id, &e.to_string()),
-    }
-}
-
 /// The `{"stats": true}` control response: the session's counters as a
 /// `"mode":"session-stats"` object.
 pub fn stats_line(id: &str, stats: &SessionStats) -> String {
     Json::obj(vec![
-        ("schema", Json::str("c11check/v1")),
+        ("schema", Json::str(SCHEMA_VERSION)),
         ("id", Json::str(id)),
         ("status", Json::str("ok")),
         ("mode", Json::str("session-stats")),
@@ -448,6 +468,132 @@ pub fn stats_line(id: &str, stats: &SessionStats) -> String {
         ("persist_locked", Json::from(stats.persist_locked)),
     ])
     .render()
+}
+
+/// The one `c11check/v1` request handler both transports drive:
+/// `c11serve` feeds it stdin lines, `c11netd` frame payloads, and each
+/// writes back the lines it renders. It owns the [`Session`] and the
+/// batch tally behind the final `batch-summary` line.
+///
+/// A request is handled in two halves so a transport can pipeline:
+/// [`Handler::accept`] parses and submits it, [`Handler::answer`] waits
+/// for the report and renders the response. `c11serve` accepts on its
+/// reader thread and answers on its writer thread, in request order;
+/// `c11netd` answers each frame as soon as it is accepted.
+pub struct Handler {
+    session: Session,
+    tally: Mutex<BatchStats>,
+}
+
+/// A request [`Handler::accept`] (or [`Handler::reject`]) took in and
+/// [`Handler::answer`] has yet to render, with the id to answer under.
+pub struct Pending(String, Work);
+
+enum Work {
+    Job(Result<JobId, CheckError>),
+    /// A `{"stats": true}` control request: rendered with the counters
+    /// current when it is answered, and not counted as a job.
+    Stats,
+    Error(String),
+}
+
+impl Handler {
+    /// A handler over a fresh session, which loads the cache snapshot
+    /// if one is configured (and says so on stderr).
+    pub fn new(cfg: SessionConfig) -> Handler {
+        let session = Session::new(cfg);
+        let s = session.stats();
+        if s.persist_loaded > 0 || s.persist_skipped > 0 {
+            eprintln!(
+                "cache snapshot: {} entries loaded, {} lines skipped",
+                s.persist_loaded, s.persist_skipped
+            );
+        }
+        Handler {
+            session,
+            tally: Mutex::new(BatchStats::default()),
+        }
+    }
+
+    /// Takes in one request's raw bytes: checks they are UTF-8 and one
+    /// JSON document, picks the id (the request's own, else
+    /// `fallback_id`), and submits it to the session — or recognises a
+    /// stats probe, or notes the error to answer.
+    pub fn accept(&self, bytes: &[u8], fallback_id: impl FnOnce() -> String) -> Pending {
+        let parsed = std::str::from_utf8(bytes)
+            .map_err(|e| {
+                format!(
+                    "request is not valid UTF-8 (first invalid byte at offset {})",
+                    e.valid_up_to()
+                )
+            })
+            .and_then(|text| Json::parse(text).map_err(|e| e.to_string()));
+        let v = match parsed {
+            Ok(v) => v,
+            Err(msg) => return self.reject(fallback_id(), msg),
+        };
+        let id = match v.get("id").and_then(Json::as_str) {
+            Some(id) => id.to_string(),
+            None => fallback_id(),
+        };
+        let work = match stats_request(&v) {
+            Some(Ok(())) => Work::Stats,
+            Some(Err(msg)) => Work::Error(msg),
+            None => match request_from_json(&v) {
+                Ok(req) => Work::Job(self.session.submit(req)),
+                Err(msg) => Work::Error(msg),
+            },
+        };
+        Pending(id, work)
+    }
+
+    /// A request the transport could not deliver whole (an oversized
+    /// line, a read error, a broken frame): answered as an error under
+    /// `id`.
+    pub fn reject(&self, id: String, msg: String) -> Pending {
+        Pending(id, Work::Error(msg))
+    }
+
+    /// Waits for a pending request's outcome, tallies it and renders its
+    /// response: a [`report_line`] (status `"ok"`, or `"timed_out"` /
+    /// `"cancelled"` with partial stats when a deadline or cancel cut it
+    /// short), an [`overloaded_line`] when the queue bounced it, an
+    /// [`error_line`], or a [`stats_line`] with the counters as of now.
+    /// Blocking here holds up only the caller: the session's pool keeps
+    /// computing other requests.
+    pub fn answer(&self, pending: Pending) -> String {
+        let Pending(id, work) = pending;
+        let result = match work {
+            Work::Stats => return stats_line(&id, &self.session.stats()),
+            Work::Error(msg) => {
+                self.tally.lock().unwrap().record_error();
+                return error_line(&id, &msg);
+            }
+            Work::Job(submitted) => submitted.and_then(|job| self.session.wait(job)),
+        };
+        self.tally.lock().unwrap().record(&result);
+        match &result {
+            Ok(report) => report_line(&id, report),
+            Err(CheckError::Overloaded) => overloaded_line(&id),
+            Err(e) => error_line(&id, &e.to_string()),
+        }
+    }
+
+    /// Ends the service: snapshots the cache (if a path is configured,
+    /// saying so on stderr), then renders the `batch-summary` line with `wall` as its wall
+    /// time. Returns the line and whether every request was answered
+    /// without error and every litmus verdict passed.
+    pub fn finish(&self, wall: Duration) -> (String, bool) {
+        match self.session.flush_cache() {
+            Ok(n) if n > 0 => eprintln!("cache snapshot: {n} entries written"),
+            Ok(_) => {}
+            Err(e) => eprintln!("cache snapshot failed: {e}"),
+        }
+        let mut stats = *self.tally.lock().unwrap();
+        stats.wall_micros = wall.as_micros();
+        let line = stats.summary_line(self.session.stats().explorations);
+        (line, stats.all_ok())
+    }
 }
 
 /// SIGTERM/SIGINT → graceful drain, shared by `c11serve` and `c11netd`:

@@ -25,10 +25,11 @@
 //! does not survive a process.
 
 use crate::json::Json;
-use crate::session::{CacheKey, Contract, ModeKey};
+use crate::net::{engine_from_json, reduction_from_json};
+use crate::session::{CacheKey, ModeKey};
 use crate::{
-    Bounds, CheckReport, CountReport, Engine, LitmusVerdictReport, Meta, ModelChoice, OutcomeRow,
-    OutcomesReport, Reduction,
+    Bounds, CheckReport, Contract, CountReport, LitmusVerdictReport, Meta, Mode, ModelChoice,
+    OutcomeRow, OutcomesReport,
 };
 use c11_explore::{Stats, StoreKind, StoreStats};
 use c11_lang::{RegId, Val};
@@ -54,7 +55,7 @@ pub(crate) fn persist_line(key: &CacheKey, report: &CheckReport) -> Option<Strin
     Some(
         Json::obj(vec![
             ("v", Json::str(SCHEMA_VERSION)),
-            ("key", key_json(key)),
+            ("key", key_json(key, &report)),
             ("report", report.json_value()),
         ])
         .render(),
@@ -99,16 +100,12 @@ pub(crate) fn parse_line(line: &str) -> Result<(CacheKey, CheckReport), String> 
     Ok((key, report))
 }
 
-fn key_json(key: &CacheKey) -> Json {
-    let mode = match key.mode {
-        ModeKey::Outcomes => "outcomes",
-        ModeKey::CountOnly => "count",
-        ModeKey::LitmusVerdict => "litmus",
-        ModeKey::Invariant(_) => unreachable!("persist_line filters invariant keys"),
-    };
+/// The key's JSON; its mode is the report's (the key was derived from
+/// the same request, and [`parse_line`] checks the two agree).
+fn key_json(key: &CacheKey, report: &CheckReport) -> Json {
     let mut pairs = vec![
         ("fingerprint", Json::UInt(key.fingerprint)),
-        ("model", Json::str(key.model.as_str())),
+        ("model", Json::str(key.model.name())),
         (
             "bounds",
             Json::obj(vec![
@@ -119,7 +116,7 @@ fn key_json(key: &CacheKey) -> Json {
                 ("symmetry", Json::from(key.bounds.symmetry)),
             ]),
         ),
-        ("mode", Json::str(mode)),
+        ("mode", Json::str(report.mode_str())),
         (
             "traces",
             match key.traces {
@@ -140,7 +137,7 @@ fn key_json(key: &CacheKey) -> Json {
     // load), keeping pre-reduction snapshots readable and
     // reduction-free snapshots byte-stable.
     if key.contract == Contract::FinalsOnly {
-        pairs.push(("contract", Json::str("finals-only")));
+        pairs.push(("contract", Json::str(key.contract.name())));
     }
     Json::obj(pairs)
 }
@@ -150,11 +147,11 @@ fn key_from_json(v: &Json) -> Result<CacheKey, String> {
         .get("fingerprint")
         .and_then(Json::as_u128)
         .ok_or("key needs an integer \"fingerprint\"")?;
-    let model = model_from_str(
-        v.get("model")
-            .and_then(Json::as_str)
-            .ok_or("key needs a string \"model\"")?,
-    )?;
+    let model = v
+        .get("model")
+        .and_then(Json::as_str)
+        .and_then(ModelChoice::parse)
+        .ok_or("key \"model\" must name a model")?;
     let bounds = v.get("bounds").ok_or("key needs \"bounds\"")?;
     let bound = |name: &str| {
         bounds
@@ -183,12 +180,12 @@ fn key_from_json(v: &Json) -> Result<CacheKey, String> {
         store,
         symmetry,
     };
-    let mode = match v.get("mode").and_then(Json::as_str) {
-        Some("outcomes") => ModeKey::Outcomes,
-        Some("count") => ModeKey::CountOnly,
-        Some("litmus") => ModeKey::LitmusVerdict,
-        _ => return Err("key \"mode\" must be \"outcomes\", \"count\" or \"litmus\"".to_string()),
-    };
+    let mode = v
+        .get("mode")
+        .and_then(Json::as_str)
+        .and_then(Mode::parse)
+        .map(|m| ModeKey::of(&m))
+        .ok_or("key \"mode\" must name a mode")?;
     let traces = match v.get("traces") {
         None | Some(Json::Null) => None,
         Some(Json::Bool(b)) => Some(*b),
@@ -205,15 +202,10 @@ fn key_from_json(v: &Json) -> Result<CacheKey, String> {
     };
     let contract = match v.get("contract") {
         None => Contract::Exhaustive,
-        Some(c) => match c.as_str() {
-            Some("exhaustive") => Contract::Exhaustive,
-            Some("finals-only") => Contract::FinalsOnly,
-            _ => {
-                return Err(
-                    "key \"contract\" must be \"exhaustive\" or \"finals-only\"".to_string()
-                );
-            }
-        },
+        Some(c) => c
+            .as_str()
+            .and_then(Contract::parse)
+            .ok_or("key \"contract\" must name a contract")?,
     };
     Ok(CacheKey {
         schema: SCHEMA_VERSION,
@@ -226,46 +218,6 @@ fn key_from_json(v: &Json) -> Result<CacheKey, String> {
         contract,
         timeout_ms,
     })
-}
-
-fn model_from_str(s: &str) -> Result<ModelChoice, String> {
-    match s {
-        "ra" => Ok(ModelChoice::Ra),
-        "sc" => Ok(ModelChoice::Sc),
-        "pre-execution" => Ok(ModelChoice::PreExecution),
-        other => Err(format!("unknown model {other:?}")),
-    }
-}
-
-fn engine_from_json(v: &Json) -> Result<Engine, String> {
-    match v.get("kind").and_then(Json::as_str) {
-        Some("sequential") => Ok(Engine::Sequential),
-        Some("parallel") => Ok(Engine::Parallel {
-            workers: v
-                .get("workers")
-                .and_then(Json::as_usize)
-                .ok_or("parallel backend needs integer \"workers\"")?,
-        }),
-        _ => Err("unknown backend kind".to_string()),
-    }
-}
-
-/// The report's optional `"reduction"` block; absent means none.
-fn reduction_from_json(v: Option<&Json>) -> Result<Reduction, String> {
-    let Some(v) = v else {
-        return Ok(Reduction::None);
-    };
-    let reduction = match v.get("kind").and_then(Json::as_str) {
-        Some("sleep-set") => Reduction::SleepSet,
-        Some("source-set") => Reduction::SourceSet,
-        _ => return Err("unknown reduction kind".to_string()),
-    };
-    // The contract is derived, but a snapshot asserting the wrong one
-    // is corrupt, not trusted.
-    match v.get("contract").and_then(Json::as_str) {
-        Some(c) if c == reduction.contract_str() => Ok(reduction),
-        _ => Err("reduction \"contract\" disagrees with its kind".to_string()),
-    }
 }
 
 fn stats_from_json(v: &Json) -> Result<Stats, String> {
@@ -321,12 +273,14 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
     })
 }
 
-fn verdict_from_str(s: &str) -> Result<Verdict, String> {
-    match s {
-        "allowed" => Ok(Verdict::Allowed),
-        "forbidden" => Ok(Verdict::Forbidden),
-        other => Err(format!("unknown verdict {other:?}")),
-    }
+fn model_field(v: &Json) -> Result<ModelChoice, String> {
+    ModelChoice::parse(string_field(v, "model")?)
+        .ok_or_else(|| "report \"model\" must name a model".to_string())
+}
+
+fn verdict_field(v: &Json, name: &str) -> Result<Verdict, String> {
+    Verdict::parse(string_field(v, name)?)
+        .ok_or_else(|| format!("report {name:?} must name a verdict"))
 }
 
 fn string_field<'a>(v: &'a Json, name: &str) -> Result<&'a str, String> {
@@ -415,18 +369,27 @@ fn report_from_json(v: &Json) -> Result<CheckReport, String> {
         )
     };
     let engine = engine_from_json(v.get("backend").ok_or("report needs \"backend\"")?)?;
-    let reduction = reduction_from_json(v.get("reduction"))?;
-    match string_field(v, "mode")? {
-        "count" => Ok(CheckReport::Count(CountReport {
-            meta: Meta {
-                model: model_from_str(string_field(v, "model")?)?,
-                engine,
-                reduction,
-                cache_hit: false,
-            },
+    // Absent means no reduction. Request and report spellings share one
+    // parser; a spelling only requests accept (a bare name, a missing
+    // contract) does not re-render, so the round-trip check rejects it.
+    let reduction = v
+        .get("reduction")
+        .map(reduction_from_json)
+        .transpose()?
+        .unwrap_or_default();
+    let meta = |model| Meta {
+        model,
+        engine,
+        reduction,
+        cache_hit: false,
+    };
+    let mode = string_field(v, "mode")?;
+    match Mode::parse(mode) {
+        Some(Mode::CountOnly) => Ok(CheckReport::Count(CountReport {
+            meta: meta(model_field(v)?),
             stats: stats_of("stats")?,
         })),
-        "outcomes" => {
+        Some(Mode::Outcomes) => {
             let outcomes = v
                 .get("outcomes")
                 .and_then(Json::as_arr)
@@ -439,12 +402,7 @@ fn report_from_json(v: &Json) -> Result<CheckReport, String> {
                 Some(d) => string_arr(d)?,
             };
             Ok(CheckReport::Outcomes(OutcomesReport {
-                meta: Meta {
-                    model: model_from_str(string_field(v, "model")?)?,
-                    engine,
-                    reduction,
-                    cache_hit: false,
-                },
+                meta: meta(model_field(v)?),
                 stats: stats_of("stats")?,
                 outcomes,
                 invalid_finals: v
@@ -454,32 +412,27 @@ fn report_from_json(v: &Json) -> Result<CheckReport, String> {
                 dot,
             }))
         }
-        "litmus" => Ok(CheckReport::Litmus(LitmusVerdictReport {
+        Some(Mode::LitmusVerdict) => Ok(CheckReport::Litmus(LitmusVerdictReport {
             // Litmus reports omit "model" (the mode always contrasts RA
             // vs SC); the cache key normalises it to the default too.
-            meta: Meta {
-                model: ModelChoice::default(),
-                engine,
-                reduction,
-                cache_hit: false,
-            },
+            meta: meta(ModelChoice::default()),
             name: string_field(v, "name")?.to_string(),
-            expect_ra: verdict_from_str(string_field(v, "expect_ra")?)?,
-            expect_sc: verdict_from_str(string_field(v, "expect_sc")?)?,
+            expect_ra: verdict_field(v, "expect_ra")?,
+            expect_sc: verdict_field(v, "expect_sc")?,
             observed_ra: bool_field(v, "observed_ra")?,
             observed_sc: bool_field(v, "observed_sc")?,
             ra: stats_of("ra")?,
             sc: stats_of("sc")?,
             pass: bool_field(v, "pass")?,
         })),
-        other => Err(format!("mode {other:?} is not persistable")),
+        _ => Err(format!("mode {mode:?} is not persistable")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CheckRequest, Invariant, Mode};
+    use crate::{CheckRequest, Invariant, Reduction};
     use c11_explore::Budget;
 
     const SB: &str = "vars x y;

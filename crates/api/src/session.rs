@@ -38,7 +38,7 @@
 
 use crate::batch::{BatchReport, BatchRequest};
 use crate::{CheckError, CheckReport, CheckRequest, Mode, Resolved};
-use c11_explore::{Budget, Engine, Interrupt, Reduction};
+use c11_explore::{Budget, Contract, Engine, Interrupt, Reduction};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -216,30 +216,6 @@ pub struct SessionStats {
     pub persist_locked: usize,
 }
 
-/// The answer contract a report satisfies: what a request under a given
-/// reduction is entitled to, and therefore what a cached report can
-/// serve. Derived from the request's [`Reduction`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub(crate) enum Contract {
-    /// Every reachable configuration visited; `unique`/`generated` are
-    /// the true state-space counts ([`Reduction::None`] and
-    /// [`Reduction::SleepSet`]).
-    #[default]
-    Exhaustive,
-    /// Finals, verdicts and violations exact; intermediate-state counts
-    /// intentionally smaller ([`Reduction::SourceSet`]).
-    FinalsOnly,
-}
-
-impl Contract {
-    pub(crate) fn of(r: Reduction) -> Contract {
-        match r {
-            Reduction::None | Reduction::SleepSet => Contract::Exhaustive,
-            Reduction::SourceSet => Contract::FinalsOnly,
-        }
-    }
-}
-
 /// The result-cache key. The engine is deliberately absent — see the
 /// module docs for why — while the reduction contributes its answer
 /// [`Contract`], and [`Mode`] contributes its discriminant plus
@@ -276,6 +252,17 @@ pub(crate) enum ModeKey {
     LitmusVerdict,
 }
 
+impl ModeKey {
+    pub(crate) fn of(mode: &Mode) -> ModeKey {
+        match mode {
+            Mode::Outcomes => ModeKey::Outcomes,
+            Mode::CountOnly => ModeKey::CountOnly,
+            Mode::Invariant(inv) => ModeKey::Invariant(PredId(inv.shared_pred())),
+            Mode::LitmusVerdict => ModeKey::LitmusVerdict,
+        }
+    }
+}
+
 /// Predicate identity by `Arc` pointer. Holding the `Arc` itself (not
 /// just its address) keeps the allocation alive for the cache's
 /// lifetime, so a recycled heap address can never alias a dropped
@@ -305,12 +292,7 @@ impl std::hash::Hash for PredId {
 
 impl CacheKey {
     pub(crate) fn of(r: &Resolved) -> CacheKey {
-        let mode = match &r.mode {
-            Mode::Outcomes => ModeKey::Outcomes,
-            Mode::CountOnly => ModeKey::CountOnly,
-            Mode::Invariant(inv) => ModeKey::Invariant(PredId(inv.shared_pred())),
-            Mode::LitmusVerdict => ModeKey::LitmusVerdict,
-        };
+        let mode = ModeKey::of(&r.mode);
         // Litmus verdicts ignore the model (they always contrast RA vs
         // SC), traces and dot — normalise those out of the key so
         // harmless request-tagging differences still hit.
@@ -327,7 +309,7 @@ impl CacheKey {
             mode,
             traces: if litmus { None } else { r.traces },
             dot: if litmus { 0 } else { r.dot },
-            contract: Contract::of(r.reduction),
+            contract: r.reduction.contract(),
             timeout_ms: r.timeout.map(|d| d.as_millis()),
         }
     }

@@ -34,12 +34,22 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// The canonical spelling (`"sequential"`, `"parallel"`).
-    pub fn kind_str(&self) -> &'static str {
+    /// Every engine kind, in CLI order; the parallel entry carries the
+    /// default worker count a bare `"parallel"` selects.
+    pub const ALL: [Engine; 2] = [Engine::Sequential, Engine::Parallel { workers: 2 }];
+
+    /// The CLI / JSON name of the engine kind (`"sequential"`,
+    /// `"parallel"`).
+    pub fn name(&self) -> &'static str {
         match self {
             Engine::Sequential => "sequential",
             Engine::Parallel { .. } => "parallel",
         }
+    }
+
+    /// Parses a CLI / JSON engine kind; `"parallel"` gets 2 workers.
+    pub fn parse(s: &str) -> Option<Engine> {
+        Engine::ALL.into_iter().find(|e| e.name() == s)
     }
 }
 
@@ -66,8 +76,11 @@ pub enum Reduction {
 }
 
 impl Reduction {
-    /// The canonical spelling (`"none"`, `"sleep-set"`, `"source-set"`).
-    pub fn kind_str(&self) -> &'static str {
+    /// Every reduction, in CLI order.
+    pub const ALL: [Reduction; 3] = [Reduction::None, Reduction::SleepSet, Reduction::SourceSet];
+
+    /// The CLI / JSON name (`"none"`, `"sleep-set"`, `"source-set"`).
+    pub fn name(&self) -> &'static str {
         match self {
             Reduction::None => "none",
             Reduction::SleepSet => "sleep-set",
@@ -75,14 +88,56 @@ impl Reduction {
         }
     }
 
-    /// The report contract this reduction upholds: `"exhaustive"` for
-    /// reductions whose reports are identical to the sequential
-    /// engine's, `"finals-only"` for the source-set reduction.
-    pub fn contract_str(&self) -> &'static str {
+    /// Parses a CLI / JSON reduction name.
+    pub fn parse(s: &str) -> Option<Reduction> {
+        Reduction::ALL.into_iter().find(|r| r.name() == s)
+    }
+
+    /// The report contract this reduction upholds.
+    pub fn contract(&self) -> Contract {
         match self {
-            Reduction::None | Reduction::SleepSet => "exhaustive",
-            Reduction::SourceSet => "finals-only",
+            Reduction::None | Reduction::SleepSet => Contract::Exhaustive,
+            Reduction::SourceSet => Contract::FinalsOnly,
         }
+    }
+
+    /// The name of [`Reduction::contract`] (`"exhaustive"` or
+    /// `"finals-only"`), as the report's `"reduction"` block spells it.
+    pub fn contract_str(&self) -> &'static str {
+        self.contract().name()
+    }
+}
+
+/// The answer contract a report satisfies: what a request under a given
+/// reduction is entitled to, and therefore what a cached report can
+/// serve. Derived from the request's [`Reduction`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum Contract {
+    /// Every reachable configuration visited; `unique`/`generated` are
+    /// the true state-space counts ([`Reduction::None`] and
+    /// [`Reduction::SleepSet`]).
+    #[default]
+    Exhaustive,
+    /// Finals, verdicts and violations exact; intermediate-state counts
+    /// intentionally smaller ([`Reduction::SourceSet`]).
+    FinalsOnly,
+}
+
+impl Contract {
+    /// Every contract.
+    pub const ALL: [Contract; 2] = [Contract::Exhaustive, Contract::FinalsOnly];
+
+    /// The JSON name (`"exhaustive"`, `"finals-only"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Contract::Exhaustive => "exhaustive",
+            Contract::FinalsOnly => "finals-only",
+        }
+    }
+
+    /// Parses a JSON contract name.
+    pub fn parse(s: &str) -> Option<Contract> {
+        Contract::ALL.into_iter().find(|c| c.name() == s)
     }
 }
 
@@ -137,11 +192,11 @@ impl AnyBackend {
     /// "sequential+sleep-set").
     pub fn name(&self) -> String {
         match (self.engine, self.reduction) {
-            (Engine::Sequential, Reduction::None) => "sequential".to_string(),
+            (engine @ Engine::Sequential, Reduction::None) => engine.name().to_string(),
             (Engine::Parallel { workers }, Reduction::None) => {
                 format!("parallel({})", workers.max(1))
             }
-            (engine, reduction) => format!("{}+{}", engine.kind_str(), reduction.kind_str()),
+            (engine, reduction) => format!("{}+{}", engine.name(), reduction.name()),
         }
     }
 

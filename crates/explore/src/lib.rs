@@ -31,7 +31,7 @@ pub mod source;
 pub mod stats;
 pub mod sym;
 
-pub use backend::{AnyBackend, Engine, Reduction};
+pub use backend::{AnyBackend, Contract, Engine, Reduction};
 pub use budget::{Budget, Interrupt};
 pub use c11_store::{StoreKind, StoreStats};
 pub use engine::{

@@ -11,6 +11,24 @@ pub enum Verdict {
     Forbidden,
 }
 
+impl Verdict {
+    /// Every verdict.
+    pub const ALL: [Verdict; 2] = [Verdict::Allowed, Verdict::Forbidden];
+
+    /// The file-header / JSON name (`"allowed"`, `"forbidden"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Verdict::Allowed => "allowed",
+            Verdict::Forbidden => "forbidden",
+        }
+    }
+
+    /// Parses a file-header / JSON verdict name.
+    pub fn parse(s: &str) -> Option<Verdict> {
+        Verdict::ALL.into_iter().find(|v| v.name() == s)
+    }
+}
+
 /// One conjunct of an observation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Cond {

@@ -41,11 +41,14 @@ fn err<T>(msg: impl Into<String>) -> Result<T, FormatError> {
 }
 
 fn parse_verdict(v: &str) -> Result<Verdict, FormatError> {
-    match v.trim() {
-        "allowed" => Ok(Verdict::Allowed),
-        "forbidden" => Ok(Verdict::Forbidden),
-        other => err(format!("bad verdict {other:?} (allowed|forbidden)")),
-    }
+    let v = v.trim();
+    Verdict::parse(v).map_or_else(
+        || {
+            let names: Vec<&str> = Verdict::ALL.iter().map(Verdict::name).collect();
+            err(format!("bad verdict {v:?} ({})", names.join("|")))
+        },
+        Ok,
+    )
 }
 
 fn parse_cond(c: &str) -> Result<Cond, FormatError> {
@@ -144,11 +147,34 @@ pub fn parse_litmus(src: &str) -> Result<LitmusTest, FormatError> {
     })
 }
 
-/// Loads a `.litmus` file from disk.
+/// Longest `.litmus` file [`load_litmus_file`] reads (1 MiB, the
+/// services' request cap): a litmus test is a few hundred bytes, and a
+/// path naming something bigger is refused rather than read into memory.
+pub const MAX_LITMUS_BYTES: usize = 1 << 20;
+
+/// Loads a `.litmus` file from disk. Only regular files are read — the
+/// check runs on the path before anything is opened, so a FIFO or a
+/// device such as `/dev/zero` is never opened — and a file longer than
+/// [`MAX_LITMUS_BYTES`] is an error, not a read.
 pub fn load_litmus_file(path: &std::path::Path) -> Result<LitmusTest, FormatError> {
-    let src = std::fs::read_to_string(path).map_err(|e| FormatError {
-        msg: format!("cannot read {}: {e}", path.display()),
-    })?;
+    use std::io::Read as _;
+    let cannot = |why: String| FormatError {
+        msg: format!("cannot read {}: {why}", path.display()),
+    };
+    let meta = std::fs::metadata(path).map_err(|e| cannot(e.to_string()))?;
+    if !meta.is_file() {
+        return Err(cannot("not a regular file".to_string()));
+    }
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(MAX_LITMUS_BYTES as u64 + 1).read_to_end(&mut bytes))
+        .map_err(|e| cannot(e.to_string()))?;
+    if bytes.len() > MAX_LITMUS_BYTES {
+        return Err(cannot(format!(
+            "longer than the {MAX_LITMUS_BYTES}-byte cap"
+        )));
+    }
+    let src = String::from_utf8(bytes).map_err(|e| cannot(e.to_string()))?;
     parse_litmus(&src)
 }
 

@@ -17,7 +17,7 @@ pub mod format;
 pub mod runner;
 
 pub use corpus::{corpus, Cond, LitmusTest, Verdict};
-pub use format::{load_litmus_dir, load_litmus_file, parse_litmus, FormatError};
+pub use format::{load_litmus_dir, load_litmus_file, parse_litmus, FormatError, MAX_LITMUS_BYTES};
 pub use runner::{
     outcome_holds_ra, outcome_holds_ra_orbit, outcome_holds_sc, outcome_holds_sc_orbit, run_corpus,
     run_test, run_test_backend, run_test_configured, LitmusResult,

@@ -65,12 +65,7 @@ impl StoreKind {
 
     /// Parses a CLI / JSON name.
     pub fn parse(s: &str) -> Option<StoreKind> {
-        match s {
-            "flat" => Some(StoreKind::Flat),
-            "sym" => Some(StoreKind::Sym),
-            "shared" => Some(StoreKind::Shared),
-            _ => None,
-        }
+        StoreKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 

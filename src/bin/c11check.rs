@@ -27,7 +27,7 @@ struct Opts {
     sc: bool,
     max_events: usize,
     workers: usize,
-    engine: Option<String>,
+    engine: Option<Engine>,
     reduction: Option<Reduction>,
     store: StoreKind,
     symmetry: bool,
@@ -36,11 +36,6 @@ struct Opts {
     quiet: bool,
     litmus: bool,
 }
-
-/// Valid flag values, kept in one place so the error messages and the
-/// help text never drift apart.
-const ENGINES: [&str; 2] = ["sequential", "parallel"];
-const REDUCTIONS: [&str; 3] = ["none", "sleep-set", "source-set"];
 
 const USAGE: &str = "usage: c11check <program.c11 | - | dir> [--litmus] [--sc] \
      [--max-events N] [--engine E] [--reduction R] [--workers N] [--store S] \
@@ -108,58 +103,13 @@ fn parse_args() -> Result<Opts, ArgsEnd> {
             "--json" => opts.json = true,
             "--dot" => opts.dot = true,
             "--quiet" => opts.quiet = true,
-            "--max-events" => {
-                opts.max_events = args
-                    .next()
-                    .ok_or_else(|| bad("--max-events needs a value".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("bad --max-events: {e}")))?;
-            }
-            "--workers" => {
-                opts.workers = args
-                    .next()
-                    .ok_or_else(|| bad("--workers needs a value".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("bad --workers: {e}")))?;
-            }
-            "--engine" => {
-                let name = args
-                    .next()
-                    .ok_or_else(|| bad("--engine needs a value".into()))?;
-                if !ENGINES.contains(&name.as_str()) {
-                    return Err(bad(format!(
-                        "unknown --engine {name:?}: valid engines are {}",
-                        ENGINES.join(", ")
-                    )));
-                }
-                opts.engine = Some(name);
-            }
+            "--max-events" => opts.max_events = number(&mut args, "--max-events")?,
+            "--workers" => opts.workers = number(&mut args, "--workers")?,
+            "--engine" => opts.engine = Some(word(&mut args, &a, &Engine::ALL, Engine::name)?),
             "--reduction" => {
-                let name = args
-                    .next()
-                    .ok_or_else(|| bad("--reduction needs a value".into()))?;
-                opts.reduction = Some(match name.as_str() {
-                    "none" => Reduction::None,
-                    "sleep-set" => Reduction::SleepSet,
-                    "source-set" => Reduction::SourceSet,
-                    _ => {
-                        return Err(bad(format!(
-                            "unknown --reduction {name:?}: valid reductions are {}",
-                            REDUCTIONS.join(", ")
-                        )));
-                    }
-                });
+                opts.reduction = Some(word(&mut args, &a, &Reduction::ALL, Reduction::name)?);
             }
-            "--store" => {
-                let name = args
-                    .next()
-                    .ok_or_else(|| bad("--store needs a value".into()))?;
-                opts.store = StoreKind::parse(&name).ok_or_else(|| {
-                    bad(format!(
-                        "unknown --store {name:?}: valid stores are flat, sym, shared"
-                    ))
-                })?;
-            }
+            "--store" => opts.store = word(&mut args, &a, &StoreKind::ALL, StoreKind::name)?,
             "--symmetry" => opts.symmetry = true,
             "-h" | "--help" => return Err(ArgsEnd::Help),
             p if opts.path.is_empty() && !p.starts_with("--") => opts.path = p.to_string(),
@@ -174,13 +124,50 @@ fn parse_args() -> Result<Opts, ArgsEnd> {
     Ok(opts)
 }
 
+/// The value after `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ArgsEnd> {
+    args.next()
+        .ok_or_else(|| ArgsEnd::Bad(format!("{flag} needs a value")))
+}
+
+fn number(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, ArgsEnd> {
+    let v = value(args, flag)?;
+    v.parse()
+        .map_err(|e| ArgsEnd::Bad(format!("bad {flag}: {e}")))
+}
+
+/// The value after `--thing`, looked up in a spelling table (`all` and
+/// its `name`); an unknown value is a usage error listing the valid
+/// things.
+fn word<T: Copy>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    all: &[T],
+    name: fn(&T) -> &'static str,
+) -> Result<T, ArgsEnd> {
+    let v = value(args, flag)?;
+    all.iter().copied().find(|x| name(x) == v).ok_or_else(|| {
+        let valid: Vec<&str> = all.iter().map(name).collect();
+        let what = &flag[2..];
+        ArgsEnd::Bad(format!(
+            "unknown {flag} {v:?}: valid {what}s are {}",
+            valid.join(", ")
+        ))
+    })
+}
+
 /// Resolve the flags to the engine × reduction pair.
 fn selection_of(opts: &Opts) -> (Engine, Reduction) {
-    let engine = match opts.engine.as_deref() {
-        Some("parallel") => Engine::Parallel {
-            workers: if opts.workers > 0 { opts.workers } else { 2 },
+    let engine = match opts.engine {
+        // --workers sizes an explicit parallel engine.
+        Some(Engine::Parallel { workers }) => Engine::Parallel {
+            workers: if opts.workers > 0 {
+                opts.workers
+            } else {
+                workers
+            },
         },
-        Some(_) => Engine::Sequential,
+        Some(engine) => engine,
         // Shorthand: a bare --workers N selects the parallel engine.
         None if opts.workers > 0 => Engine::Parallel {
             workers: opts.workers,

@@ -1,10 +1,6 @@
-//! `c11netd` — the checking service over TCP: the same `c11check/v1`
-//! request/response documents `c11serve` speaks over stdio, carried in
-//! length-prefixed frames (4-byte big-endian payload length + one JSON
-//! document; see `c11_api::net`). One long-lived [`Session`] backs every
-//! connection, so the fingerprint-keyed result cache, LRU bounds,
-//! per-job deadlines and `Overloaded` backpressure all apply per frame
-//! — and with `--cache-path`, warm results survive restarts.
+//! `c11netd` — the checking service over TCP: `c11check/v1` requests
+//! and responses carried in length-prefixed frames (4-byte big-endian
+//! payload length + one JSON document; see `c11_api::net`).
 //!
 //! ```sh
 //! c11netd [--listen ADDR] [--port-file FILE] [--max-conns N]
@@ -14,19 +10,24 @@
 //!         [--cache-capacity N] [--max-queue N]
 //! ```
 //!
+//! This binary is an I/O loop around `c11_api::net::Handler`, the
+//! request handler `c11serve` drives over stdio, so a frame gets exactly
+//! the answer the same `c11serve` line would (the schema table is in
+//! the `c11_api::net` docs, on its request parser); a frame without an
+//! `id` is answered as `conn-C-F`. One handler, and so one long-lived
+//! session, backs every connection: the result cache, LRU bounds,
+//! per-job deadlines and `"overloaded"` backpressure apply across
+//! connections, and with `--cache-path` warm results survive restarts.
+//!
 //! Connections are served thread-per-connection up to `--max-conns`;
 //! a connection past the cap is answered with one `"overloaded"` frame
-//! and closed. Within a connection, frames are answered in order: a
-//! request frame gets a report / `"error"` / `"overloaded"` frame, and
-//! a `{"stats": true}` frame gets the live session counters (with
-//! per-reduction exploration counts). Request documents carry the full
-//! `c11serve` schema, including the `engine` × `reduction` pair and the
-//! `store` (`"flat"`/`"sym"`/`"shared"`) and `symmetry` storage knobs. A frame
-//! that violates the protocol (oversized length, mid-frame truncation
-//! or stall) is answered once (best effort) and the connection closed —
-//! the stream cannot be resynchronised. Every accepted socket gets
-//! `TCP_NODELAY` before its first write, and every frame leaves as one
-//! write, so no response waits on the client's delayed ACK.
+//! and closed. Within a connection, frames are answered in order. A
+//! frame that violates the protocol (oversized length, mid-frame
+//! truncation or stall) is answered once (best effort) and the
+//! connection closed — the stream cannot be resynchronised. Every
+//! accepted socket gets `TCP_NODELAY` before its first write, and every
+//! frame leaves as one write, so no response waits on the client's
+//! delayed ACK.
 //!
 //! On SIGTERM or SIGINT the server stops accepting, finishes every
 //! frame already in flight, snapshots the cache to `--cache-path` (if
@@ -34,15 +35,13 @@
 //! Per-frame client errors do not fail the exit code — a network
 //! service outlives its worst client; startup failures exit 2.
 
-use c11_operational::api::json::Json;
-use c11_operational::api::net::{self, error_line, overloaded_line, shutdown, stats_line, FrameIn};
-use c11_operational::api::{Session, SessionConfig};
-use c11_operational::prelude::*;
+use c11_operational::api::net::{self, overloaded_line, shutdown, FrameIn, Handler};
+use c11_operational::api::SessionConfig;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: c11netd [--listen ADDR] [--port-file FILE] [--max-conns N] \
@@ -112,86 +111,34 @@ fn parse_args() -> Result<Opts, String> {
 
 /// Serves one connection: frames in, responses out, until EOF, a
 /// protocol error, or drain. Returns when the connection is done.
-fn serve_conn(
-    mut conn: TcpStream,
-    conn_no: usize,
-    session: &Session,
-    tally: &Mutex<BatchStats>,
-    opts: &Opts,
-) {
+fn serve_conn(mut conn: TcpStream, conn_no: usize, handler: &Handler, opts: &Opts) {
     let _ = conn.set_read_timeout(Some(opts.read_timeout));
     let _ = conn.set_write_timeout(Some(opts.write_timeout));
     let mut frame_no = 0usize;
-    loop {
-        if shutdown::requested() {
-            return;
-        }
-        match net::read_frame(&mut conn) {
+    while !shutdown::requested() {
+        let pending = match net::read_frame(&mut conn) {
             Ok(FrameIn::Eof) => return,
             // Idle at a frame boundary: poll the drain flag, keep going.
             Ok(FrameIn::Idle) => continue,
+            Ok(FrameIn::Frame(payload)) => {
+                frame_no += 1;
+                handler.accept(&payload, || format!("conn-{conn_no}-{frame_no}"))
+            }
             Err(e) => {
                 // Protocol violation or I/O failure: one best-effort
                 // error frame, then close (the stream can't resync).
-                tally.lock().unwrap().record_error();
-                let line = error_line(&format!("conn-{conn_no}-{}", frame_no + 1), &e);
-                let _ = net::write_frame(&mut conn, line.as_bytes());
+                let pending = handler.reject(format!("conn-{conn_no}-{}", frame_no + 1), e);
+                let _ = net::write_frame(&mut conn, handler.answer(pending).as_bytes());
                 return;
             }
-            Ok(FrameIn::Frame(payload)) => {
-                frame_no += 1;
-                let response = respond(&payload, conn_no, frame_no, session, tally);
-                if net::write_frame(&mut conn, response.as_bytes()).is_err() {
-                    return; // peer gone or stalled past the write timeout
-                }
-            }
+        };
+        // Block this connection's thread on the result while other
+        // connections keep submitting — the pool under the session is
+        // the concurrency limit, not this wait.
+        if net::write_frame(&mut conn, handler.answer(pending).as_bytes()).is_err() {
+            return; // peer gone or stalled past the write timeout
         }
     }
-}
-
-/// Answers one frame payload with one response document.
-fn respond(
-    payload: &[u8],
-    conn_no: usize,
-    frame_no: usize,
-    session: &Session,
-    tally: &Mutex<BatchStats>,
-) -> String {
-    let fallback_id = || format!("conn-{conn_no}-{frame_no}");
-    let parsed = std::str::from_utf8(payload)
-        .map_err(|e| format!("frame is not valid UTF-8: {e}"))
-        .and_then(|text| Json::parse(text).map_err(|e| e.to_string()));
-    let v = match parsed {
-        Ok(v) => v,
-        Err(msg) => {
-            tally.lock().unwrap().record_error();
-            return error_line(&fallback_id(), &msg);
-        }
-    };
-    let id = v
-        .get("id")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(fallback_id);
-    // Stats frames are observations, not jobs: no tally.
-    let request = match net::stats_request(&v) {
-        Some(Ok(())) => return stats_line(&id, &session.stats()),
-        Some(Err(msg)) => Err(msg),
-        None => net::request_from_json(&v),
-    };
-    let req = match request {
-        Ok(req) => req,
-        Err(msg) => {
-            tally.lock().unwrap().record_error();
-            return error_line(&id, &msg);
-        }
-    };
-    // Block this connection's thread on the result while other
-    // connections keep submitting — the pool under the session is the
-    // concurrency limit, not this wait.
-    let result = session.submit(req).and_then(|job| session.wait(job));
-    tally.lock().unwrap().record(&result);
-    net::result_line(&id, &result)
 }
 
 /// Blocks until a connection is pending on `listener` or `timeout`
@@ -235,16 +182,7 @@ fn main() -> ExitCode {
         }
     };
     shutdown::install();
-    let session = Arc::new(Session::new(opts.session.clone()));
-    {
-        let s = session.stats();
-        if s.persist_loaded > 0 || s.persist_skipped > 0 {
-            eprintln!(
-                "cache snapshot: {} entries loaded, {} lines skipped",
-                s.persist_loaded, s.persist_skipped
-            );
-        }
-    }
+    let handler = Arc::new(Handler::new(opts.session.clone()));
 
     let listener = match TcpListener::bind(&opts.listen) {
         Ok(l) => l,
@@ -274,7 +212,6 @@ fn main() -> ExitCode {
     eprintln!("c11netd listening on {local}");
 
     let opts = Arc::new(opts);
-    let tally = Arc::new(Mutex::new(BatchStats::default()));
     let active = Arc::new(AtomicUsize::new(0));
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut conn_no = 0usize;
@@ -307,14 +244,13 @@ fn main() -> ExitCode {
                     continue;
                 }
                 active.fetch_add(1, Ordering::AcqRel);
-                let session = session.clone();
-                let tally = tally.clone();
+                let handler = handler.clone();
                 let opts = opts.clone();
                 let active = active.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("c11netd-conn-{conn_no}"))
                     .spawn(move || {
-                        serve_conn(conn, conn_no, &session, &tally, &opts);
+                        serve_conn(conn, conn_no, &handler, &opts);
                         active.fetch_sub(1, Ordering::AcqRel);
                     })
                     .expect("spawn connection thread");
@@ -329,17 +265,10 @@ fn main() -> ExitCode {
     for handle in handles {
         let _ = handle.join();
     }
-    match session.flush_cache() {
-        Ok(n) if n > 0 => eprintln!("cache snapshot: {n} entries written"),
-        Ok(_) => {}
-        Err(e) => eprintln!("cache snapshot failed: {e}"),
-    }
-
-    let mut stats = *tally.lock().unwrap();
-    stats.wall_micros = t0.elapsed().as_micros();
+    let (summary, _) = handler.finish(t0.elapsed());
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let _ = writeln!(out, "{}", stats.summary_line(session.stats().explorations));
+    let _ = writeln!(out, "{summary}");
     let _ = out.flush();
     // A clean drain is success: per-frame client errors were already
     // answered to the clients that caused them.

@@ -1,9 +1,6 @@
-//! `c11serve` — the long-lived checking service: `c11check/v1` request
-//! JSON lines in on stdin, one report JSON line out per request, plus a
-//! final `batch-summary` line. Built on the [`Session`] API: requests
-//! are scheduled concurrently over a worker pool and answered from the
-//! fingerprint-keyed result cache when possible, while responses stream
-//! out in request order.
+//! `c11serve` — the checking service over stdio: one `c11check/v1`
+//! request object per stdin line, one response line per request on
+//! stdout in request order, then a final `batch-summary` line.
 //!
 //! ```sh
 //! c11serve [--workers N] [--no-cache] [--auto-parallel T]
@@ -21,52 +18,26 @@
 //! done | c11serve --workers 4
 //! ```
 //!
-//! Request-line schema (`c11check/v1`; unknown keys are rejected):
+//! This binary is an I/O loop around `c11_api::net::Handler`, the
+//! request handler `c11netd` drives over TCP: the request schema table
+//! is in the `c11_api::net` docs, on its request parser, and every
+//! response line is the handler's. The reader thread accepts each line as it arrives,
+//! so requests run concurrently on the session's worker pool, and the
+//! writer thread answers them in order. A line without an `id` is
+//! answered as `line-N`. Blank lines are skipped; a line over 1 MiB is
+//! answered with a positioned error and the stream continues.
 //!
-//! | key            | value                                              |
-//! |----------------|----------------------------------------------------|
-//! | `id`           | string echoed into the report line (default: line number) |
-//! | `program`      | DSL source text                                    |
-//! | `litmus_path`  | path to a `.litmus` file                           |
-//! | `litmus_source`| inline `.litmus` file text                         |
-//! | `model`        | `"ra"` (default) / `"sc"` / `"pre-execution"`      |
-//! | `mode`         | `"outcomes"` (default) / `"count"` / `"litmus"` (litmus inputs' default) |
-//! | `engine`       | `"sequential"` (default) / `"parallel"`, or `{"kind":"parallel","workers":N}` |
-//! | `reduction`    | `"none"` (default) / `"sleep-set"` / `"source-set"`, or `{"kind":…,"contract":…}` |
-//! | `bounds`       | `{"max_events":N,"max_states":N,"max_depth":N}` (each optional) |
-//! | `store`        | `"flat"` (default) / `"sym"` / `"shared"` — visited-state store |
-//! | `symmetry`     | bool — quotient visited states by thread-permutation symmetry |
-//! | `traces`       | bool — witness schedules per outcome               |
-//! | `dot`          | integer — render up to N final executions as DOT   |
-//! | `timeout_ms`   | integer — per-request deadline, measured from when compute starts |
-//!
-//! Each response line is the `c11check/v1` report object with `id`
-//! prepended after `schema`; its `status` is `"ok"`, `"timed_out"` or
-//! `"cancelled"` (a deadline-hit report is still a report — partial
-//! stats, not an error). A `{"stats": true}` control line (optionally
-//! with an `id`) is answered in stream order with the live
-//! `SessionStats` counters as a `"mode":"session-stats"` line instead
-//! of a report (including per-reduction exploration counts:
-//! `explorations_none` / `explorations_sleep_set` /
-//! `explorations_source_set`), and is not counted as a job. Malformed lines produce
-//! `{"schema":"c11check/v1","id":…,"status":"error","error":"…"}`;
-//! submissions bounced by a full queue (`--max-queue`) produce
-//! `"status":"overloaded"` lines. Input lines are capped at 1 MiB:
-//! longer lines (and lines that are not valid UTF-8) are answered with
-//! a positioned error and the stream continues. On EOF — or SIGTERM /
-//! SIGINT on Unix — the service stops reading, drains every in-flight
-//! job, flushes the `--cache-path` snapshot (if any), prints the
-//! summary and exits. The exit code is 0 iff every line was ok and
-//! every litmus verdict passed; overload rejections and deadline hits
-//! are service conditions, not genuine errors, and do not fail it.
+//! On EOF — or SIGTERM / SIGINT on Unix — the service stops reading,
+//! answers every line already read, flushes the `--cache-path` snapshot
+//! (if any), prints the summary and exits. The exit code is 0 iff every
+//! line was ok and every litmus verdict passed; overload rejections and
+//! deadline hits are service conditions, not errors, and do not fail it.
 
-use c11_operational::api::json::Json;
-use c11_operational::api::net::{self, error_line, shutdown, stats_line};
-use c11_operational::api::{CheckError, JobId, Session, SessionConfig};
-use c11_operational::prelude::*;
-use std::io::{BufRead, Write as _};
+use c11_operational::api::net::{shutdown, Handler, MAX_FRAME_BYTES};
+use c11_operational::api::SessionConfig;
+use std::io::{BufRead, Read as _, Write as _};
 use std::process::ExitCode;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 const USAGE: &str = "usage: c11serve [--workers N] [--no-cache] [--auto-parallel T] \
      [--job-timeout-ms MS] [--cache-capacity N] [--max-queue N] [--cache-path FILE]\n\
@@ -85,10 +56,6 @@ const USAGE: &str = "usage: c11serve [--workers N] [--no-cache] [--auto-parallel
      --cache-path FILE: load the result cache from FILE on start and \
      snapshot it back on drain";
 
-/// Longest accepted request line; longer lines are dropped with a
-/// positioned error instead of buffering unboundedly.
-const MAX_LINE_BYTES: usize = 1 << 20;
-
 /// Every flag is a session flag; the defaults are two workers, the
 /// cache on, and the parallel upgrade at 4 threads.
 fn parse_args() -> Result<SessionConfig, String> {
@@ -106,28 +73,13 @@ fn parse_args() -> Result<SessionConfig, String> {
     Ok(cfg)
 }
 
-/// One unit flowing from the reader to the writer: a submission (or its
-/// rejection), a line-level error, or a stats-control answer, with the
-/// id to echo. The request parsing, response rendering and tally
-/// themselves live in `c11_api`, shared with `c11netd`.
-enum Item {
-    Job(String, Result<JobId, CheckError>),
-    LineError(String, String),
-    /// A `{"stats": true}` control line: answered in stream order with
-    /// the then-current counters, not counted as a job.
-    Stats(String),
-}
-
 /// One raw request line, read with a hard byte cap.
 enum Line {
     Eof,
-    Text(String),
-    /// Line exceeded [`MAX_LINE_BYTES`]; payload is the dropped length
+    Bytes(Vec<u8>),
+    /// Line exceeded [`MAX_FRAME_BYTES`]; payload is the dropped length
     /// seen before giving up (the line was consumed through its newline).
     TooLong(usize),
-    /// Line bytes were not valid UTF-8; payload is the offset of the
-    /// first bad byte.
-    BadUtf8(usize),
     Io(String),
 }
 
@@ -136,49 +88,36 @@ enum Line {
 /// newline so the *next* line still parses — one hostile line must not
 /// poison the rest of the stream.
 fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Line {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut saw_input = false;
-    let mut dropped = false;
-    let mut dropped_len = 0usize;
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Line::Io(e.to_string()),
-        };
-        if chunk.is_empty() {
-            break; // EOF (a final unterminated line still counts)
-        }
-        saw_input = true;
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(chunk.len());
-        if dropped {
-            dropped_len += take;
-        } else if buf.len() + take > cap {
-            dropped = true;
-            dropped_len = buf.len() + take;
-        } else {
-            buf.extend_from_slice(&chunk[..take]);
-        }
-        let consumed = take + usize::from(newline.is_some());
-        reader.consume(consumed);
-        if newline.is_some() {
-            break;
-        }
+    // At most cap + 1 bytes per read: a read that fills them without
+    // reaching a newline has found a line over the cap.
+    let mut read = |buf: &mut Vec<u8>| reader.take(cap as u64 + 1).read_until(b'\n', buf);
+    let mut buf = Vec::new();
+    match read(&mut buf) {
+        Ok(0) => return Line::Eof,
+        Ok(_) => {}
+        Err(e) => return Line::Io(e.to_string()),
     }
-    if dropped {
-        return Line::TooLong(dropped_len);
+    let mut newline = buf.last() == Some(&b'\n');
+    if !newline && buf.len() > cap {
+        let mut len = buf.len();
+        while !newline {
+            buf.clear();
+            match read(&mut buf) {
+                Ok(0) => break, // EOF ends the line too
+                Ok(n) => len += n,
+                Err(e) => return Line::Io(e.to_string()),
+            }
+            newline = buf.last() == Some(&b'\n');
+        }
+        return Line::TooLong(len - usize::from(newline));
     }
-    if !saw_input {
-        return Line::Eof;
+    if newline {
+        buf.pop();
     }
     if buf.last() == Some(&b'\r') {
         buf.pop();
     }
-    match String::from_utf8(buf) {
-        Ok(text) => Line::Text(text),
-        Err(e) => Line::BadUtf8(e.utf8_error().valid_up_to()),
-    }
+    Line::Bytes(buf)
 }
 
 fn main() -> ExitCode {
@@ -192,115 +131,57 @@ fn main() -> ExitCode {
     // SIGTERM and SIGINT both request the same graceful drain: stop
     // reading, finish in-flight jobs, snapshot the cache, summarise.
     shutdown::install();
-    let session = std::sync::Arc::new(Session::new(cfg));
-    let (tx, rx) = mpsc::channel::<Item>();
-
+    let handler = Arc::new(Handler::new(cfg));
+    let (tx, rx) = mpsc::channel();
     let t0 = std::time::Instant::now();
 
-    // Writer thread: redeems jobs in request order and streams one line
-    // per request; accumulates the batch aggregates (the reports
-    // themselves are not kept — this is a stream, not a buffer).
+    // Writer thread: answers requests in the order they were read and
+    // streams one line each, so submission stays pipelined ahead of it.
     let writer = {
-        let session = session.clone();
+        let handler = handler.clone();
         std::thread::spawn(move || {
             let stdout = std::io::stdout();
-            let mut stats = BatchStats::default();
-            for item in rx {
-                // Stats-control answers ride the same ordered stream but
-                // are observations, not jobs — the batch counters skip
-                // them entirely.
-                if let Item::Stats(id) = &item {
-                    let line = stats_line(id, &session.stats());
-                    let mut out = stdout.lock();
-                    let _ = writeln!(out, "{line}");
-                    let _ = out.flush();
-                    continue;
-                }
-                let line = match item {
-                    Item::Stats(_) => unreachable!("handled above"),
-                    Item::LineError(id, msg) => {
-                        stats.record_error();
-                        error_line(&id, &msg)
-                    }
-                    Item::Job(id, submitted) => {
-                        let result = submitted.and_then(|job| session.wait(job));
-                        stats.record(&result);
-                        net::result_line(&id, &result)
-                    }
-                };
+            for pending in rx {
+                let line = handler.answer(pending);
                 let mut out = stdout.lock();
                 let _ = writeln!(out, "{line}");
                 let _ = out.flush(); // stream per request — this is a service
             }
-            stats
         })
     };
 
-    // Reader (main thread): parse lines, submit jobs as they arrive.
-    // Stops at EOF, on an unrecoverable read error, or when SIGTERM /
-    // SIGINT asks for a graceful drain.
+    // Reader (main thread): accept lines as they arrive. Stops at EOF,
+    // on an unrecoverable read error, or when SIGTERM / SIGINT asks for
+    // a graceful drain.
     let stdin = std::io::stdin();
     let mut reader = stdin.lock();
     let mut n = 0usize;
-    loop {
-        if shutdown::requested() {
-            break;
-        }
+    while !shutdown::requested() {
         n += 1;
-        let item = match read_line_capped(&mut reader, MAX_LINE_BYTES) {
+        let pending = match read_line_capped(&mut reader, MAX_FRAME_BYTES) {
             Line::Eof => break,
             Line::Io(e) => {
-                let _ = tx.send(Item::LineError(
-                    format!("line-{n}"),
-                    format!("stdin read error: {e}"),
-                ));
+                let _ =
+                    tx.send(handler.reject(format!("line-{n}"), format!("stdin read error: {e}")));
                 break;
             }
-            Line::TooLong(len) => Item::LineError(
+            Line::TooLong(len) => handler.reject(
                 format!("line-{n}"),
-                format!("line {n} exceeds the {MAX_LINE_BYTES}-byte cap ({len} bytes); dropped"),
+                format!("line {n} exceeds the {MAX_FRAME_BYTES}-byte cap ({len} bytes); dropped"),
             ),
-            Line::BadUtf8(at) => Item::LineError(
-                format!("line-{n}"),
-                format!("line {n} is not valid UTF-8 (first invalid byte at offset {at})"),
-            ),
-            Line::Text(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match Json::parse(&line) {
-                    Err(e) => Item::LineError(format!("line-{n}"), e.to_string()),
-                    Ok(v) => {
-                        let id = v
-                            .get("id")
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                            .unwrap_or_else(|| format!("line-{n}"));
-                        match net::stats_request(&v) {
-                            Some(Ok(())) => Item::Stats(id),
-                            Some(Err(msg)) => Item::LineError(id, msg),
-                            None => match net::request_from_json(&v) {
-                                Ok(req) => Item::Job(id, session.submit(req)),
-                                Err(msg) => Item::LineError(id, msg),
-                            },
-                        }
-                    }
-                }
+            // A line holding nothing but whitespace is not a request.
+            Line::Bytes(b) if std::str::from_utf8(&b).is_ok_and(|t| t.trim().is_empty()) => {
+                continue
             }
+            Line::Bytes(bytes) => handler.accept(&bytes, || format!("line-{n}")),
         };
-        let _ = tx.send(item);
+        let _ = tx.send(pending);
     }
     drop(tx); // EOF/SIGTERM/SIGINT: let the writer drain in-flight jobs
-    let mut stats = writer.join().expect("writer thread");
-    stats.wall_micros = t0.elapsed().as_micros();
-    // Snapshot the warm cache now that the pool is quiet (the session's
-    // drop would too, but failing loudly beats failing silently).
-    if let Err(e) = session.flush_cache() {
-        eprintln!("cache snapshot failed: {e}");
-    }
-
-    println!("{}", stats.summary_line(session.stats().explorations));
-    if stats.all_ok() {
+    writer.join().expect("writer thread");
+    let (summary, all_ok) = handler.finish(t0.elapsed());
+    println!("{summary}");
+    if all_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
